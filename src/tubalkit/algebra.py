@@ -6,6 +6,11 @@ element i of lateral slice j in frontal slice kappa.  The third mode is the
 scalars are length-k tubes under circular convolution, which the mode-3 DFT
 diagonalizes.  Forward DFT is unnormalized, the inverse carries the 1/k
 factor (numpy's fft/ifft convention).
+
+The t-product, t-inverse, t-SVD, tensor QR and singular value thresholding
+share one frequency-slice kernel: `freq_slices` gives the half spectrum as a
+(k//2+1, m, n) stack for batched numpy linalg calls, `from_freq_slices` maps
+it back.  The other slices are conjugates of these and are never computed.
 """
 
 import numpy as np
@@ -14,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     ImaginaryResidualTooLarge,
     IndexOutOfRange,
+    InvalidEntries,
     NotOrthonormal,
     SingularFrequencySlice,
 )
@@ -51,6 +57,38 @@ def ifft_mode3(f, tol=IMAG_RESIDUAL_TOL):
     return np.ascontiguousarray(x.real)
 
 
+def freq_slices(t):
+    """Half-spectrum frequency slices of a real tensor.
+
+    Returns the mode-3 DFT at frequencies 0..k//2 as a (k//2+1, m, n)
+    stack: entry [f, i, j] is the DFT of tube (i, j, :) at frequency f.
+    """
+    t = _check3(t)
+    if np.iscomplexobj(t):
+        raise InvalidEntries(f"expected a real tensor, got {t.dtype}")
+    return np.moveaxis(np.fft.rfft(t, axis=2), 2, 0)
+
+
+def from_freq_slices(f, k):
+    """Real (m, n, k) tensor whose half-spectrum slices are the stack `f`;
+    inverse of `freq_slices`."""
+    return np.ascontiguousarray(np.fft.irfft(f, n=k, axis=0).transpose(1, 2, 0))
+
+
+def freq_weights(k):
+    """How many of the k full-spectrum slices each half-spectrum slice
+    stands for: itself and its conjugate partner."""
+    kappa = np.arange(k)
+    return np.bincount(np.minimum(kappa, k - kappa))
+
+
+def unit_phase(pivot):
+    """pivot / |pivot| entry-wise, 1 where pivot is 0: dividing a factor
+    column by its pivot's phase makes the pivot real positive."""
+    mag = np.abs(pivot)
+    return np.where(mag > 0, pivot / np.where(mag > 0, mag, 1), 1)
+
+
 def tprod(a, b):
     """t-product of an (n1, n2, k) and an (n2, n3, k) tensor.
 
@@ -61,10 +99,7 @@ def tprod(a, b):
     b = _check3(b)
     if a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
         raise DimensionMismatch(f"cannot t-multiply {a.shape} by {b.shape}")
-    fa = np.fft.fft(a, axis=2)
-    fb = np.fft.fft(b, axis=2)
-    fc = np.einsum("isk,sjk->ijk", fa, fb)
-    return ifft_mode3(fc)
+    return from_freq_slices(freq_slices(a) @ freq_slices(b), a.shape[2])
 
 
 def ttranspose(t):
@@ -94,15 +129,14 @@ def tinv(t, cond_limit=1e12):
     n, n2, k = t.shape
     if n != n2:
         raise DimensionMismatch(f"tinv needs a square tensor, got {t.shape}")
-    ft = np.fft.fft(t, axis=2)
-    out = np.empty_like(ft)
-    for kappa in range(k):
-        sl = ft[:, :, kappa]
-        sv = np.linalg.svd(sl, compute_uv=False)
-        if sv[-1] == 0 or sv[0] / sv[-1] > cond_limit:
-            raise SingularFrequencySlice(kappa)
-        out[:, :, kappa] = np.linalg.inv(sl)
-    return ifft_mode3(out)
+    ft = freq_slices(t)
+    sv = np.linalg.svd(ft, compute_uv=False)
+    # A slice and its conjugate partner share singular values, so the first
+    # bad half-spectrum slice is also the first bad one of all k.
+    bad = np.flatnonzero((sv[:, -1] == 0) | (sv[:, 0] > cond_limit * sv[:, -1]))
+    if bad.size:
+        raise SingularFrequencySlice(int(bad[0]))
+    return from_freq_slices(np.linalg.inv(ft), k)
 
 
 def elementwise_prod(a, b):
@@ -154,14 +188,8 @@ def frobenius_norm(t):
 
 def spectral_norm(t):
     """Largest singular value over all frequency slices."""
-    ft = np.fft.fft(_check3(t), axis=2)
-    m, n, k = ft.shape
-    top = 0.0
-    for kappa in range(k):
-        sv = np.linalg.svd(ft[:, :, kappa], compute_uv=False)
-        if sv.size and sv[0] > top:
-            top = float(sv[0])
-    return top
+    sv = np.linalg.svd(freq_slices(t), compute_uv=False)
+    return float(sv.max(initial=0.0))
 
 
 def infinity_norm(t):

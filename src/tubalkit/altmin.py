@@ -16,12 +16,13 @@ import numpy as np
 
 from .algebra import (
     coherence,
-    fft_mode3,
+    freq_slices,
+    from_freq_slices,
     frobenius_norm,
-    ifft_mode3,
     spectral_norm,
     tprod,
     ttranspose,
+    unit_phase,
     _check3,
 )
 from .errors import (
@@ -32,7 +33,7 @@ from .errors import (
     TooShort,
     ZeroTruth,
 )
-from .sampling import RngSeed, project, split
+from .sampling import RngSeed, check_observed, project, split
 from .tls import LsOptions, ls_solve_x, ls_solve_y, median_ls, median_ls_x
 from .tsvd import top_r_eigenslices
 
@@ -105,32 +106,16 @@ def fit_convergence(trace):
 def qr_tensor(y):
     """Thin t-product QR: y = q * r with q orthonormal.
 
-    Per-frequency-slice QR; the phase of each R diagonal is fixed real
-    positive so the factorization is deterministic.  Conjugate slice pairs
-    share one factorization so the inverse DFT is exactly real.
+    One batched QR of the half-spectrum frequency slices; the phase of each
+    R diagonal is fixed real positive so the factorization is deterministic.
     """
     y = _check3(y)
-    n, r, k = y.shape
-    fy = np.fft.fft(y, axis=2)
-    q = min(n, r)
-    qf = np.zeros((n, q, k), dtype=complex)
-    rf = np.zeros((q, r, k), dtype=complex)
-    for kappa in range(k // 2 + 1):
-        sl = fy[:, :, kappa]
-        mirror = (k - kappa) % k
-        if mirror == kappa:
-            sl = sl.real
-        qm, rm = np.linalg.qr(sl)
-        diag = np.diagonal(rm).copy()
-        phase = np.where(np.abs(diag) > 0, diag / np.abs(np.where(diag == 0, 1, diag)), 1.0)
-        qm = qm * phase[None, :]
-        rm = rm * np.conj(phase)[:, None]
-        qf[:, :, kappa] = qm
-        rf[:, :, kappa] = rm
-        if mirror != kappa:
-            qf[:, :, mirror] = qm.conj()
-            rf[:, :, mirror] = rm.conj()
-    return ifft_mode3(qf), ifft_mode3(rf)
+    k = y.shape[2]
+    qf, rf = np.linalg.qr(freq_slices(y))
+    phase = unit_phase(np.diagonal(rf, axis1=1, axis2=2))[:, None, :]
+    qf = qf * phase
+    rf = rf * phase.conj().swapaxes(1, 2)
+    return from_freq_slices(qf, k), from_freq_slices(rf, k)
 
 
 def truncate_tubes(z, cap):
@@ -203,9 +188,7 @@ def _stalled(trace, window, tol):
 
 def tubal_alt_min(observed, omega, cfg, ground_truth=None):
     """Run the configured solver variant and return its SolveReport."""
-    observed = _check3(observed)
-    if observed.shape != omega.dims:
-        raise DimensionMismatch(f"observed {observed.shape} vs omega {omega.dims}")
+    observed = check_observed(observed, omega)
     m, n, k = observed.shape
     r = cfg.target_rank
     rse_trace = []
@@ -295,21 +278,13 @@ def noisy_subspace_iteration(t, x0, iterations, noise_gen=None, seed=None):
     if not np.allclose(t, t.transpose(1, 0, 2), atol=1e-10 * max(1, frobenius_norm(t))):
         raise DimensionMismatch("tensor frontal slices must be symmetric")
     r = x0.shape[1]
-    u = top_r_eigenslices(t, r)
-    uf = np.fft.fft(u, axis=2)
+    uf = freq_slices(top_r_eigenslices(t, r))
     rng = (seed or RngSeed(0, "nsi")).rng()
 
     def angle(x):
-        xf = np.fft.fft(x, axis=2)
-        top = 0.0
-        for kappa in range(k):
-            us = uf[:, :, kappa]
-            xs = xf[:, :, kappa]
-            resid = xs - us @ (us.conj().T @ xs)
-            sv = np.linalg.svd(resid, compute_uv=False)
-            if sv.size and sv[0] > top:
-                top = float(sv[0])
-        return top
+        xf = freq_slices(x)
+        resid = xf - uf @ (uf.conj().swapaxes(1, 2) @ xf)
+        return float(np.linalg.svd(resid, compute_uv=False).max(initial=0.0))
 
     x = x0
     trace = []

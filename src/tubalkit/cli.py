@@ -7,12 +7,7 @@ import argparse
 import sys
 
 from . import harness
-from .errors import (
-    BadMagic,
-    DimOverflow,
-    TruncatedFile,
-    TubalError,
-)
+from .errors import FileFormatError, TubalError
 from .sampling import RngSeed, synth_low_tubal_rank
 
 
@@ -48,10 +43,9 @@ def _add_common(sub):
     sub.add_argument("--threshold", type=float, default=1e-5)
 
 
-def _spec(args, kind):
+def _spec(args):
     m, n, k = args.size
     return harness.ExperimentSpec(
-        kind=kind,
         m=m,
         n=n,
         k=k,
@@ -113,18 +107,18 @@ def main(argv=None):
             )
             harness.write_tensor(args.file, tensor)
         elif args.command == "sweep":
-            harness.run_recovery_sweep(_spec(args, "recovery-sweep"))
+            harness.run_recovery_sweep(_spec(args))
         elif args.command == "converge":
-            harness.run_convergence(_spec(args, "convergence"))
+            harness.run_convergence(_spec(args))
         elif args.command == "scale":
-            harness.run_runtime_scaling(_spec(args, "runtime-scaling"))
+            harness.run_runtime_scaling(_spec(args))
         elif args.command == "complete":
-            spec = _spec(args, "complete-file")
+            spec = _spec(args)
             algo = (args.algo or ["altmin-simple"])[0]
             harness.complete_file(
                 args.input, args.mask, args.rates[0], algo, spec, args.output
             )
-    except (BadMagic, TruncatedFile, DimOverflow, OSError) as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
     except (TubalError, ValueError) as exc:

@@ -13,6 +13,11 @@ class ImaginaryResidualTooLarge(TubalError):
     pass
 
 
+class InvalidEntries(TubalError):
+    """Tensor values a real-valued solve cannot use: complex entries, or
+    non-finite observations inside the sample set."""
+
+
 class SingularFrequencySlice(TubalError):
     def __init__(self, slice_index, message=None):
         self.slice_index = slice_index
@@ -55,17 +60,17 @@ class ZeroTruth(TubalError):
     pass
 
 
-class BadMagic(TubalError):
+class FileFormatError(TubalError):
+    """Malformed tensor or sample-set file (the CLI's I/O exit code)."""
+
+
+class BadMagic(FileFormatError):
     pass
 
 
-class TruncatedFile(TubalError):
+class TruncatedFile(FileFormatError):
     pass
 
 
-class DimOverflow(TubalError):
-    pass
-
-
-class TimeoutExceeded(TubalError):
+class DimOverflow(FileFormatError):
     pass

@@ -65,7 +65,6 @@ def read_tensor(path):
 
 @dataclass
 class ExperimentSpec:
-    kind: str  # recovery-sweep | convergence | runtime-scaling | complete-file
     m: int = 50
     n: int = 50
     k: int = 10
@@ -83,7 +82,6 @@ class ExperimentSpec:
     out_dir: str = "."
     threshold: float = 1e-5
     sizes: list = field(default_factory=lambda: [25, 50, 75, 100])
-    input_path: str | None = None
 
     def __post_init__(self):
         if any(not 0 < rate <= 1 for rate in self.rates):

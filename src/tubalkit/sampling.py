@@ -6,7 +6,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import tprod, _check3
-from .errors import DimensionMismatch, RankOutOfRange
+from .errors import (
+    DimensionMismatch,
+    FileFormatError,
+    InvalidEntries,
+    RankOutOfRange,
+)
 
 
 @dataclass(frozen=True)
@@ -75,11 +80,19 @@ def sample_bernoulli(m, n, k, p, seed):
 
 
 def project(t, omega):
-    """Zero out every entry outside the observation set."""
+    """Zero out every entry outside the observation set (NaN included)."""
     t = _check3(t)
     if t.shape != omega.dims:
         raise DimensionMismatch(f"tensor {t.shape} vs sample set {omega.dims}")
-    return t * omega.mask
+    return np.where(omega.mask, t, 0.0)
+
+
+def check_observed(observed, omega):
+    """A solver's input zeroed outside omega, checked for finite observations."""
+    observed = project(observed, omega)
+    if not np.all(np.isfinite(observed[omega.mask])):
+        raise InvalidEntries("observed tensor is not finite inside the sample set")
+    return observed
 
 
 def split(omega, t, seed):
@@ -120,14 +133,14 @@ def write_sample_set(path, omega):
 
 
 def read_sample_set(path):
+    """Parse the text format of `write_sample_set`; a malformed header,
+    field or out-of-range triple raises FileFormatError."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise DimensionMismatch("sample-set header must be 'm n k'")
-        m, n, k = (int(v) for v in header)
-        triples = []
-        for line in fh:
-            if line.strip():
-                i, j, kappa = (int(v) - 1 for v in line.split())
-                triples.append((i, j, kappa))
-    return SampleSet.from_triples(m, n, k, triples)
+        header = fh.readline()
+        lines = [line for line in fh if line.strip()]
+    try:
+        m, n, k = (int(v) for v in header.split())
+        triples = [tuple(int(v) - 1 for v in line.split()) for line in lines]
+        return SampleSet.from_triples(m, n, k, triples)
+    except (ValueError, DimensionMismatch) as exc:
+        raise FileFormatError(f"malformed sample-set file {path}: {exc}") from exc

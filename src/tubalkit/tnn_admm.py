@@ -6,15 +6,21 @@ X subproblem is separable per entry and solved in closed form; the Z
 subproblem is singular value soft-thresholding per frequency slice.
 """
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import frobenius_norm, ifft_mode3, spectral_norm, _check3
+from .algebra import (
+    freq_slices,
+    freq_weights,
+    from_freq_slices,
+    spectral_norm,
+    _check3,
+)
 from .altmin import SolveReport, fit_convergence, rse
-from .errors import DimensionMismatch, InsufficientSamples
+from .errors import InsufficientSamples
+from .sampling import check_observed
 
 
 @dataclass
@@ -33,39 +39,26 @@ class AdmmConfig:
 
 def tnn(t):
     """Tensor nuclear norm: sum of all frequency-slice singular values."""
-    ft = np.fft.fft(_check3(t), axis=2)
-    total = 0.0
-    for kappa in range(t.shape[2]):
-        total += float(np.sum(np.linalg.svd(ft[:, :, kappa], compute_uv=False)))
-    return total
+    t = _check3(t)
+    sv = np.linalg.svd(freq_slices(t), compute_uv=False)
+    return float(freq_weights(t.shape[2]) @ sv.sum(axis=1))
 
 
 def svt(t, eps):
-    """Soft-threshold the singular values of every frequency slice by eps."""
+    """Soft-threshold the singular values of every frequency slice by eps.
+
+    Returns (z, tnn_z): the thresholded tensor and its tensor nuclear norm,
+    summed from the thresholded singular values, so callers that need both
+    pay for one batched SVD.
+    """
     if eps < 0:
         raise ValueError("threshold must be nonnegative")
     t = _check3(t)
-    m, n, k = t.shape
-    ft = np.fft.fft(t, axis=2)
-    out = np.zeros_like(ft)
-    for kappa in range(k // 2 + 1):
-        sl = ft[:, :, kappa]
-        mirror = (k - kappa) % k
-        if mirror == kappa:
-            sl = sl.real
-        u, s, vh = np.linalg.svd(sl, full_matrices=False)
-        s = np.maximum(s - eps, 0.0)
-        thresholded = (u * s[None, :]) @ vh
-        out[:, :, kappa] = thresholded
-        if mirror != kappa:
-            out[:, :, mirror] = thresholded.conj()
-    return ifft_mode3(out)
-
-
-def default_lambda(observed):
-    """Nuclear-norm weight at the standard LASSO scale for the instance."""
-    m, n, k = observed.shape
-    return frobenius_norm(observed) / math.sqrt(max(m, n) * k)
+    k = t.shape[2]
+    u, s, vh = np.linalg.svd(freq_slices(t), full_matrices=False)
+    s = np.maximum(s - eps, 0.0)
+    z = from_freq_slices((u * s[:, None, :]) @ vh, k)
+    return z, float(freq_weights(k) @ s.sum(axis=1))
 
 
 def lambda_grid(observed, points=5):
@@ -75,9 +68,7 @@ def lambda_grid(observed, points=5):
 
 def admm_complete(observed, omega, cfg, ground_truth=None):
     """Run the ADMM recursion until the objective stalls or max_iters."""
-    observed = _check3(observed)
-    if observed.shape != omega.dims:
-        raise DimensionMismatch(f"observed {observed.shape} vs omega {omega.dims}")
+    observed = check_observed(observed, omega)
     if omega.size == 0:
         raise InsufficientSamples("empty observation set")
     mask = omega.mask
@@ -96,12 +87,12 @@ def admm_complete(observed, omega, cfg, ground_truth=None):
             (observed + alpha * (z - q)) / (1.0 + alpha),
             z - q,
         )
-        z = svt(x + q / alpha, cfg.lam / alpha)
+        z, tnn_z = svt(x + q / alpha, cfg.lam / alpha)
         q = q + alpha * (x - z)
         gap = x - z
         obj = (
             0.5 * np.linalg.norm((observed - x) * mask) ** 2
-            + cfg.lam * tnn(z)
+            + cfg.lam * tnn_z
             + float(np.sum(gap * q))
             + 0.5 * alpha * np.linalg.norm(gap) ** 2
         )

@@ -1,16 +1,23 @@
 """Tensor singular value decomposition and tubal-rank tools.
 
 The t-SVD factors a real (m, n, k) tensor as U * Theta * V^dag with U, V
-orthonormal under the t-product and Theta f-diagonal.  It is computed by an
-SVD of every frequency slice; conjugate-symmetric slice pairs share one SVD
-so the inverse DFT is exactly real.
+orthonormal under the t-product and Theta f-diagonal.  It is computed by one
+batched SVD of the half-spectrum frequency slices; the other slices are
+their conjugates, so the inverse DFT is exactly real.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ifft_mode3, tprod, ttranspose, _check3
+from .algebra import (
+    freq_slices,
+    from_freq_slices,
+    tprod,
+    ttranspose,
+    unit_phase,
+    _check3,
+)
 from .errors import RankOutOfRange
 
 DEFAULT_RANK_TOL = 1e-8
@@ -24,60 +31,29 @@ class TsvdFactors:
     u: np.ndarray
     theta: np.ndarray
     v: np.ndarray
-    reduced: bool = True
 
     def eigentube_norms(self):
-        q = self.theta.shape[0]
-        return np.array(
-            [np.linalg.norm(self.theta[s, s, :]) for s in range(q)]
-        )
-
-
-def _fix_phases(u, s, vh):
-    # Make the largest-magnitude entry of each left singular vector real
-    # positive so the factorization is deterministic.
-    for col in range(u.shape[1]):
-        idx = int(np.argmax(np.abs(u[:, col])))
-        pivot = u[idx, col]
-        mag = abs(pivot)
-        if mag > 0:
-            phase = pivot / mag
-            u[:, col] *= np.conj(phase)
-            vh[col, :] *= phase
-    return u, s, vh
+        return np.linalg.norm(np.diagonal(self.theta), axis=0)
 
 
 def tsvd(t):
-    """Reduced t-SVD of a real tensor."""
+    """Reduced t-SVD of a real tensor.
+
+    The largest-magnitude entry of each left singular vector is made real
+    positive so the factorization is deterministic.
+    """
     t = _check3(t)
-    m, n, k = t.shape
-    q = min(m, n)
-    ft = np.fft.fft(t, axis=2)
-    uf = np.zeros((m, q, k), dtype=complex)
-    sf = np.zeros((q, k))
-    vf = np.zeros((n, q, k), dtype=complex)
-    for kappa in range(k // 2 + 1):
-        sl = ft[:, :, kappa]
-        mirror = (k - kappa) % k
-        if mirror == kappa:
-            # DC slice (and Nyquist slice for even k) is real.
-            sl = sl.real
-        u, s, vh = np.linalg.svd(sl, full_matrices=False)
-        u, s, vh = _fix_phases(u, s, vh)
-        uf[:, :, kappa] = u
-        sf[:, kappa] = s
-        vf[:, :, kappa] = vh.conj().T
-        if mirror != kappa:
-            uf[:, :, mirror] = u.conj()
-            sf[:, mirror] = s
-            vf[:, :, mirror] = vh.T
-    u = ifft_mode3(uf)
-    v = ifft_mode3(vf)
-    theta_f = np.zeros((q, q, k), dtype=complex)
-    rows = np.arange(q)
-    theta_f[rows, rows, :] = sf
-    theta = ifft_mode3(theta_f)
-    return TsvdFactors(u=u, theta=theta, v=v)
+    k = t.shape[2]
+    u, s, vh = np.linalg.svd(freq_slices(t), full_matrices=False)
+    idx = np.argmax(np.abs(u), axis=1)[:, None, :]
+    phase = unit_phase(np.take_along_axis(u, idx, axis=1))
+    u = u * phase.conj()
+    vh = vh * phase.swapaxes(1, 2)
+    return TsvdFactors(
+        u=from_freq_slices(u, k),
+        theta=from_freq_slices(s[:, :, None] * np.eye(s.shape[1]), k),
+        v=from_freq_slices(vh.conj().swapaxes(1, 2), k),
+    )
 
 
 def tubal_rank(t, tol=DEFAULT_RANK_TOL):

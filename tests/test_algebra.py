@@ -27,6 +27,7 @@ from tubalkit.errors import (
     DimensionMismatch,
     ImaginaryResidualTooLarge,
     IndexOutOfRange,
+    InvalidEntries,
     NotOrthonormal,
     SingularFrequencySlice,
 )
@@ -103,22 +104,19 @@ def test_tprod_hand_circular_convolution():
 
 def test_tprod_matches_circ_oracle():
     rng = np.random.default_rng(4)
-    a = rng.standard_normal((4, 3, 5))
-    b = rng.standard_normal((3, 2, 5))
-    c = tprod(a, b)
-    prod = circ_expand(a) @ circ_expand(b)
-    assert np.allclose(circ_expand(c), prod, atol=1e-10)
-    # first block column of the circ product folds back to the tensor
-    k = 5
-    folded = np.stack(
-        [prod[i * k : (i + 1) * k, 0:k][:, 0] for i in range(4)]
-    )
-    for j in range(2):
-        col = np.stack(
-            [prod[i * k : (i + 1) * k, j * k] for i in range(4)]
-        )
-        assert np.allclose(col, c[:, j, :], atol=1e-10)
-    del folded
+    # k = 1 and 2 exercise the DC and Nyquist edges of the half spectrum
+    for k in (1, 2, 5):
+        a = rng.standard_normal((4, 3, k))
+        b = rng.standard_normal((3, 2, k))
+        c = tprod(a, b)
+        prod = circ_expand(a) @ circ_expand(b)
+        assert np.allclose(circ_expand(c), prod, atol=1e-10)
+        # first column of each block column folds back to the tensor
+        for j in range(2):
+            col = np.stack(
+                [prod[i * k : (i + 1) * k, j * k] for i in range(4)]
+            )
+            assert np.allclose(col, c[:, j, :], atol=1e-10)
 
 
 def test_tprod_dimension_mismatch():
@@ -126,6 +124,8 @@ def test_tprod_dimension_mismatch():
         tprod(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)))
     with pytest.raises(DimensionMismatch):
         tprod(np.zeros((2, 3, 4)), np.zeros((3, 2, 5)))
+    with pytest.raises(InvalidEntries):
+        tprod(np.zeros((2, 3, 4), dtype=complex), np.zeros((3, 2, 4)))
 
 
 def test_ttranspose_k1_is_matrix_transpose():
@@ -276,8 +276,8 @@ def test_norms_zero_and_identity():
 
 def test_spectral_norm_matches_circ_svd():
     rng = np.random.default_rng(17)
-    for _ in range(5):
-        t = rng.standard_normal((5, 4, 3))
+    for k in (1, 2, 3, 4, 5):
+        t = rng.standard_normal((5, 4, k))
         top = np.linalg.svd(circ_expand(t), compute_uv=False)[0]
         assert abs(spectral_norm(t) - top) < 1e-9
 

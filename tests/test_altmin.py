@@ -24,6 +24,7 @@ from tubalkit.errors import (
     DimensionMismatch,
     EmptySampleSet,
     InsufficientSamples,
+    InvalidEntries,
     NonPositiveRse,
     TooShort,
     ZeroTruth,
@@ -248,6 +249,23 @@ def test_full_variant_insufficient_samples():
     )
     with pytest.raises(InsufficientSamples):
         tubal_alt_min(project(t, omega), omega, cfg, ground_truth=t)
+
+
+def test_non_finite_observation_is_typed_error():
+    t, _ = synth_low_tubal_rank(8, 8, 3, 1, RngSeed(17, "nan"))
+    omega = sample_bernoulli(8, 8, 3, 0.7, RngSeed(17, "nan-mask"))
+    cfg = SolverConfig(target_rank=1, iterations=3, seed=RngSeed(17, "nan-run"))
+    # NaN at unobserved entries is ignored, projected or not
+    holes = np.where(omega.mask, t, np.nan)
+    report = tubal_alt_min(holes, omega, cfg, ground_truth=t)
+    assert np.all(np.isfinite(report.estimate))
+    observed = project(t, omega)
+    i, j, kappa = omega.triples()[0]
+    observed[i, j, kappa] = np.nan
+    for variant in ("simplified", "full"):
+        cfg.variant = variant
+        with pytest.raises(InvalidEntries):
+            tubal_alt_min(observed, omega, cfg)
 
 
 def test_stop_rse_early_exit():

@@ -81,16 +81,15 @@ def test_t3b_dim_overflow(tmp_path):
 
 def test_experiment_spec_validation():
     with pytest.raises(ValueError):
-        ExperimentSpec(kind="recovery-sweep", rates=[0.0])
+        ExperimentSpec(rates=[0.0])
     with pytest.raises(ValueError):
-        ExperimentSpec(kind="recovery-sweep", repetitions=0)
+        ExperimentSpec(repetitions=0)
     with pytest.raises(ValueError):
-        ExperimentSpec(kind="recovery-sweep", algorithms=("bogus",))
+        ExperimentSpec(algorithms=("bogus",))
 
 
-def tiny_spec(kind, out_dir, **kwargs):
+def tiny_spec(out_dir, **kwargs):
     defaults = dict(
-        kind=kind,
         m=10,
         n=10,
         k=2,
@@ -112,9 +111,7 @@ def read_csv(path):
 
 
 def test_recovery_sweep_outputs(tmp_path):
-    spec = tiny_spec(
-        "recovery-sweep", tmp_path, rates=[1.0, 0.8], repetitions=2
-    )
+    spec = tiny_spec(tmp_path, rates=[1.0, 0.8], repetitions=2)
     rows, means = run_recovery_sweep(spec)
     table = read_csv(tmp_path / "sweep.csv")
     assert table[0] == CSV_HEADER
@@ -132,8 +129,8 @@ def drop_seconds(rows):
 
 
 def test_recovery_sweep_deterministic(tmp_path):
-    spec1 = tiny_spec("recovery-sweep", tmp_path / "a")
-    spec2 = tiny_spec("recovery-sweep", tmp_path / "b")
+    spec1 = tiny_spec(tmp_path / "a")
+    spec2 = tiny_spec(tmp_path / "b")
     rows1, means1 = run_recovery_sweep(spec1)
     rows2, means2 = run_recovery_sweep(spec2)
     assert drop_seconds(rows1) == drop_seconds(rows2)
@@ -145,16 +142,16 @@ def test_recovery_sweep_deterministic(tmp_path):
 
 
 def test_recovery_sweep_threaded_matches_serial(tmp_path, monkeypatch):
-    spec1 = tiny_spec("recovery-sweep", tmp_path / "ser", rates=[0.9, 0.7])
+    spec1 = tiny_spec(tmp_path / "ser", rates=[0.9, 0.7])
     rows1, _ = run_recovery_sweep(spec1)
     monkeypatch.setenv("TUBAL_THREADS", "4")
-    spec2 = tiny_spec("recovery-sweep", tmp_path / "par", rates=[0.9, 0.7])
+    spec2 = tiny_spec(tmp_path / "par", rates=[0.9, 0.7])
     rows2, _ = run_recovery_sweep(spec2)
     assert drop_seconds(rows1) == drop_seconds(rows2)
 
 
 def test_convergence_outputs(tmp_path):
-    spec = tiny_spec("convergence", tmp_path, iterations=5)
+    spec = tiny_spec(tmp_path, iterations=5)
     rows, slopes = run_convergence(spec)
     table = read_csv(tmp_path / "converge.csv")
     assert table[0] == CSV_HEADER
@@ -168,7 +165,6 @@ def test_convergence_outputs(tmp_path):
 
 def test_runtime_scaling_outputs(tmp_path):
     spec = tiny_spec(
-        "runtime-scaling",
         tmp_path,
         rates=[0.9],
         sizes=[8, 12],
@@ -198,7 +194,7 @@ def test_complete_file_round_trip(tmp_path):
     src = tmp_path / "in.t3b"
     dst = tmp_path / "out.t3b"
     write_tensor(src, t)
-    spec = tiny_spec("complete-file", tmp_path, iterations=12)
+    spec = tiny_spec(tmp_path, iterations=12)
     summary = harness.complete_file(
         str(src), None, 0.9, "altmin-simple", spec, str(dst)
     )
@@ -219,7 +215,7 @@ def test_complete_file_with_mask(tmp_path):
     write_tensor(src, t)
     omega = sample_bernoulli(8, 8, 2, 0.9, RngSeed(5, "cfm-mask"))
     write_sample_set(mask_path, omega)
-    spec = tiny_spec("complete-file", tmp_path)
+    spec = tiny_spec(tmp_path)
     summary = harness.complete_file(
         str(src), str(mask_path), 0.5, "altmin-simple", spec, str(dst)
     )
@@ -304,3 +300,24 @@ def test_cli_exit_codes(tmp_path):
         ["sweep", "--rates", "1.5", "--out", str(tmp_path)]
     )
     assert bad_rate == 4
+    tensor_path = tmp_path / "t.t3b"
+    write_tensor(tensor_path, np.zeros((2, 2, 2)))
+    for body in ("1 1 x\n", "1 1 9\n"):  # non-integer field, out of range
+        mask_path = tmp_path / "bad_mask.txt"
+        mask_path.write_text("2 2 2\n" + body)
+        malformed = cli.main(
+            [
+                "complete",
+                "--input",
+                str(tensor_path),
+                "--mask",
+                str(mask_path),
+                "--output",
+                str(tmp_path / "o.t3b"),
+                "--size",
+                "2,2,2",
+                "--rank",
+                "1",
+            ]
+        )
+        assert malformed == 3

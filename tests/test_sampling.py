@@ -48,6 +48,9 @@ def test_project_basics():
     once = project(t, omega)
     assert np.array_equal(project(once, omega), once)
     assert np.all(once[~omega.mask] == 0)
+    # unobserved entries may be NaN: they are replaced, not multiplied by 0
+    holes = np.where(omega.mask, t, np.nan)
+    assert np.array_equal(project(holes, omega), once)
     with pytest.raises(DimensionMismatch):
         project(rng.standard_normal((4, 5, 4)), omega)
 

@@ -7,7 +7,7 @@ from tubalkit.algebra import (
     identity_tensor,
     spectral_norm,
 )
-from tubalkit.errors import DimensionMismatch, InsufficientSamples
+from tubalkit.errors import DimensionMismatch, InsufficientSamples, InvalidEntries
 from tubalkit.sampling import (
     RngSeed,
     SampleSet,
@@ -18,7 +18,6 @@ from tubalkit.sampling import (
 from tubalkit.tnn_admm import (
     AdmmConfig,
     admm_complete,
-    default_lambda,
     lambda_grid,
     svt,
     tnn,
@@ -37,43 +36,51 @@ def test_tnn_zero_and_identity():
 
 
 def test_tnn_matches_circ_nuclear_norm():
-    t = np.random.default_rng(0).standard_normal((4, 4, 3))
-    nuc = np.sum(np.linalg.svd(circ_expand(t), compute_uv=False))
-    assert abs(tnn(t) - nuc) < 1e-8
+    rng = np.random.default_rng(0)
+    # k = 1 and 2 exercise the DC and Nyquist edges of the half spectrum
+    for k in (1, 2, 3):
+        t = rng.standard_normal((4, 4, k))
+        nuc = np.sum(np.linalg.svd(circ_expand(t), compute_uv=False))
+        assert abs(tnn(t) - nuc) < 1e-8
+        z, tnn_z = svt(t, 0.5)
+        assert abs(tnn_z - tnn(z)) <= 1e-12 * tnn(z)
 
 
 def test_svt_zero_threshold_is_identity():
     t = np.random.default_rng(1).standard_normal((5, 4, 3))
-    assert np.allclose(svt(t, 0.0), t, atol=1e-10)
+    z, tnn_z = svt(t, 0.0)
+    assert np.allclose(z, t, atol=1e-10)
+    assert np.isclose(tnn_z, tnn(t), rtol=1e-12)
 
 
 def test_svt_large_threshold_zeroes():
     t = np.random.default_rng(2).standard_normal((5, 4, 3))
-    out = svt(t, spectral_norm(t) + 1.0)
+    out, tnn_out = svt(t, spectral_norm(t) + 1.0)
     assert np.max(np.abs(out)) < 1e-12
+    assert tnn_out == 0.0
 
 
 def test_svt_hand_threshold():
     t = np.zeros((2, 2, 3))
     t[:, :, 0] = np.diag([3.0, 1.0])  # constant spectrum {3, 1}
-    out = svt(t, 2.0)
+    out, tnn_out = svt(t, 2.0)
     expected = np.zeros_like(t)
     expected[:, :, 0] = np.diag([1.0, 0.0])
     assert np.allclose(out, expected, atol=1e-10)
+    assert np.isclose(tnn_out, 3.0)  # singular value 1 in each of 3 slices
 
 
 def test_svt_is_contraction():
     rng = np.random.default_rng(3)
     t = rng.standard_normal((6, 5, 4))
     for eps in (0.0, 0.1, 1.0, 5.0):
-        assert frobenius_norm(svt(t, eps)) <= frobenius_norm(t) + 1e-10
+        assert frobenius_norm(svt(t, eps)[0]) <= frobenius_norm(t) + 1e-10
     with pytest.raises(ValueError):
         svt(t, -1.0)
 
 
 def test_lambda_helpers():
     obs = np.random.default_rng(4).standard_normal((6, 5, 4))
-    assert default_lambda(obs) > 0
     grid = lambda_grid(obs)
     assert len(grid) == 5
     assert np.isclose(grid[0], 1e-3 * spectral_norm(obs))
@@ -107,6 +114,11 @@ def test_admm_empty_omega():
             omega,
             AdmmConfig(lam=1.0),
         )
+    full = SampleSet(4, 4, 2, np.ones((4, 4, 2), dtype=bool))
+    observed = np.zeros((4, 4, 2))
+    observed[1, 2, 0] = np.nan
+    with pytest.raises(InvalidEntries):
+        admm_complete(observed, full, AdmmConfig(lam=1.0))
 
 
 def test_admm_recovers_on_desk_instance():

@@ -37,7 +37,7 @@ def test_tsvd_rank_from_construction():
 
 def test_tsvd_reconstruction_and_orthonormality():
     rng = np.random.default_rng(1)
-    for shape in [(8, 6, 5), (6, 8, 5), (20, 20, 8)]:
+    for shape in [(8, 6, 5), (6, 8, 5), (20, 20, 8), (5, 4, 1), (4, 5, 2)]:
         t = rng.standard_normal(shape)
         f = tsvd(t)
         rel = frobenius_norm(reconstruct(f) - t) / frobenius_norm(t)
@@ -66,13 +66,20 @@ def test_projector_idempotence():
 
 
 def test_frequency_singular_values_match_circ():
-    t = np.random.default_rng(4).standard_normal((4, 3, 3))
-    ft = np.fft.fft(t, axis=2)
-    per_freq = np.concatenate(
-        [np.linalg.svd(ft[:, :, kappa], compute_uv=False) for kappa in range(3)]
-    )
-    circ_sv = np.linalg.svd(circ_expand(t), compute_uv=False)
-    assert np.allclose(np.sort(per_freq), np.sort(circ_sv), atol=1e-8)
+    rng = np.random.default_rng(4)
+    # k = 1 and 2 exercise the DC and Nyquist edges of the half spectrum
+    for k in (1, 2, 3):
+        t = rng.standard_normal((4, 3, k))
+        ft = np.fft.fft(t, axis=2)
+        per_freq = np.concatenate(
+            [np.linalg.svd(ft[:, :, kappa], compute_uv=False) for kappa in range(k)]
+        )
+        circ_sv = np.linalg.svd(circ_expand(t), compute_uv=False)
+        assert np.allclose(np.sort(per_freq), np.sort(circ_sv), atol=1e-8)
+        # the t-SVD's f-diagonal tubes carry the same values in frequency
+        theta_f = np.fft.fft(np.diagonal(tsvd(t).theta), axis=0)
+        assert np.allclose(np.sort(theta_f.real.ravel()), np.sort(circ_sv), atol=1e-8)
+        assert np.max(np.abs(theta_f.imag)) < 1e-10
 
 
 def test_tubal_rank_basics():
