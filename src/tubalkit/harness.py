@@ -56,6 +56,9 @@ def read_tensor(path):
         count = m * n * k
         if min(m, n, k) == 0 or count > MAX_ELEMENTS:
             raise DimOverflow(f"dims {(m, n, k)} out of supported range")
+        size = os.fstat(fh.fileno()).st_size
+        if size != 16 + count * 8:
+            raise TruncatedFile(f"header promises {count} values; file holds {size} bytes")
         data = fh.read(count * 8)
         if len(data) < count * 8:
             raise TruncatedFile(f"expected {count} values, file ends early")

@@ -1,11 +1,14 @@
-"""Tensor least-squares inner solver, assembled in the frequency domain.
+"""Tensor least-squares inner solver, assembled in the time domain.
 
 The update min_Y ||P_Omega(T - X * Y^dag)||_F^2 decouples over lateral
-slices j.  Masking a tube in the time domain is a circular convolution of
-spectra, so slice j yields one complex least-squares system whose design
-matrix couples frequencies through the circulant of the mask tube's DFT.
-Rows are indexed by (row index i, output frequency), columns by (factor
-column s, input frequency).
+slices j.  Entry (i, j, kappa) of X * Y^dag is the sum over (s, sigma) of
+x[i, s, (kappa + sigma) mod k] * y[j, s, sigma], so every observed entry is
+one real row of the circulant-row matrix C: row (i, kappa), column
+(s, sigma) holds x[i, s, (kappa + sigma) mod k].  All slices share C; slice
+j keeps the rows it observes, and the normal equations of all slices go
+through batched solves, many slices per call.  The X update is the same
+kernel on horizontal slices i, with rows (j, kappa) holding
+y[j, s, (sigma - kappa) mod k].
 """
 
 import math
@@ -13,126 +16,125 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import fft_mode3, ifft_mode3, tube_transpose, _check3
+from .algebra import _check3
 from .errors import DimensionMismatch, RankDeficientSystem
 from .sampling import project, split
+
+# A Gram is numerically singular when a Cholesky pivot is at most this
+# fraction of its own diagonal entry: Cholesky also succeeds on Grams whose
+# smallest eigenvalue is rounding noise.  The minimum-norm solution of a
+# singular Gram drops eigenvalues at most this fraction of its largest.
+SINGULAR_TOL = 1e-10
+# Systems per batched solve are capped so that their Gram stack stays this
+# small; the median wrappers solve hundreds of slices per call.
+BLOCK_BYTES = 512 * 1024
 
 
 @dataclass
 class LsOptions:
     """regularization: ridge weight added to the normal equations;
-    solver: 'orthogonal-factorization' (lstsq) or 'normal-equations';
     minimum-norm solutions unless allow_rank_deficient is False."""
 
     regularization: float = 0.0
-    solver: str = "orthogonal-factorization"
     allow_rank_deficient: bool = True
 
     def __post_init__(self):
         if self.regularization < 0:
             raise ValueError("regularization must be nonnegative")
-        if self.solver not in ("orthogonal-factorization", "normal-equations"):
-            raise ValueError(f"unknown solver {self.solver!r}")
 
 
-@dataclass
-class SliceSystem:
-    """One lateral slice's stacked frequency-domain LS system."""
-
-    j: int
-    b: np.ndarray  # (m*k,) complex
-    design: np.ndarray  # (m*k, r*k) complex
-
-
-def build_slice_system(observed_freq, mask_freq, x_freq, j):
-    """Assemble the design matrix and right-hand side for lateral slice j.
-
-    design[(i, ko), (s, ki)] = (1/k) * circ(mask_freq[i, j, :])[ko, ki]
-                                     * x_freq[i, s, ki]
-    b[(i, ko)] = observed_freq[i, j, ko]
-    """
-    m, n, k = observed_freq.shape
-    r = x_freq.shape[1]
-    idx = (np.arange(k)[:, None] - np.arange(k)[None, :]) % k
-    circs = mask_freq[:, j, :][:, idx]  # (m, k, k): [i, ko, ki]
-    design = np.einsum("iab,isb->iasb", circs, x_freq) / k
-    b = observed_freq[:, j, :].reshape(m * k)
-    return SliceSystem(j=j, b=b, design=design.reshape(m * k, r * k))
+def circulant_rows(factor, sign):
+    """(p*k, r*k) matrix whose row (i, kappa) and column (s, sigma) hold
+    factor[i, s, (sigma + sign * kappa) mod k]."""
+    p, r, k = factor.shape
+    idx = (np.arange(k)[None, :] + sign * np.arange(k)[:, None]) % k
+    return factor[:, :, idx].transpose(0, 2, 1, 3).reshape(p * k, r * k)
 
 
-def _solve_system(system, opts):
-    a = system.design
-    b = system.b
-    cols = a.shape[1]
-    if opts.solver == "normal-equations":
-        gram = a.conj().T @ a
-        if opts.regularization > 0:
-            gram = gram + opts.regularization * np.eye(cols)
-        rhs = a.conj().T @ b
-        sol, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
-    else:
-        if opts.regularization > 0:
-            a = np.vstack([a, math.sqrt(opts.regularization) * np.eye(cols)])
-            b = np.concatenate([b, np.zeros(cols)])
-        sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if not opts.allow_rank_deficient and rank < cols:
-        raise RankDeficientSystem(
-            f"slice {system.j}: rank {rank} < {cols} unknowns"
-        )
-    return sol
+def _pivot_singular(gram):
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        if len(gram) == 1:
+            return np.ones(1, dtype=bool)
+        return np.concatenate([_pivot_singular(g[None]) for g in gram])
+    pivots = np.diagonal(chol, axis1=1, axis2=2) ** 2
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    return np.any(pivots <= SINGULAR_TOL * diag, axis=1)
 
 
-def _solve_factor(observed_freq, mask_freq, factor_freq, opts):
-    # Returns the (n, r, k) frequency-domain solution of the stacked
-    # per-slice systems; each solution vector is laid out (s, kappa).
-    m, n, k = observed_freq.shape
-    r = factor_freq.shape[1]
-    out = np.empty((n, r, k), dtype=complex)
-    for j in range(n):
-        system = build_slice_system(observed_freq, mask_freq, factor_freq, j)
-        out[j] = _solve_system(system, opts).reshape(r, k)
-    return out
+def _solve_slices(rows, masks, values, opts):
+    """Least-squares solutions z of rows[mask] @ z = value[mask] for every
+    slice mask, i.e. every trailing row of the (..., n, P) `masks`; slice j
+    of each leading index reads row j of the (n, P) `values`.  Returns
+    (..., n, q)."""
+    lead, (size, q) = masks.shape[:-1], rows.shape
+    masks = masks.reshape(-1, size)
+    sol = np.empty((len(masks), q))
+    step = max(1, BLOCK_BYTES // (8 * q * q))
+    for lo in range(0, len(masks), step):
+        block = np.arange(lo, min(lo + step, len(masks)))
+        gram = np.empty((len(block), q, q))
+        rhs = np.empty((len(block), q))
+        for b, slot in enumerate(block):
+            kept = rows[masks[slot]]
+            gram[b] = kept.T @ kept
+            rhs[b] = values[slot % lead[-1], masks[slot]] @ kept
+        gram += opts.regularization * np.eye(q)
+        # fewer observed rows than unknowns is singular without a
+        # factorization, unless a ridge term is added
+        singular = (masks[block].sum(axis=1) < q) & (opts.regularization == 0)
+        singular[~singular] = _pivot_singular(gram[~singular])
+        ok = ~singular
+        sol[block[ok]] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]
+        # minimum-norm solutions of the singular systems through eigh
+        w, v = np.linalg.eigh(gram[singular])
+        keep = w > SINGULAR_TOL * w[:, -1:]
+        coef = (rhs[singular, None, :] @ v)[:, 0] / np.where(keep, w, 1.0)
+        sol[block[singular]] = (v @ np.where(keep, coef, 0.0)[..., None])[..., 0]
+        rank = keep.sum(axis=1)
+        if not opts.allow_rank_deficient and (rank < q).any():
+            first = np.argmax(rank < q)
+            j = block[singular][first] % lead[-1]
+            raise RankDeficientSystem(f"slice {j}: rank {rank[first]} < {q} unknowns")
+    return sol.reshape(lead + (q,))
+
+
+def _slices(t, y_update):
+    # (..., m, n, k) -> (..., slices, rows): lateral slices j with rows
+    # (i, kappa) for the Y update, horizontal slices i with rows (j, kappa)
+    # for the X update
+    if y_update:
+        t = np.swapaxes(t, -3, -2)
+    return t.reshape(*t.shape[:-2], -1)
+
+
+def _half_step(observed, omega, factor, y_update, subsets, opts):
+    # Solutions (len(subsets), slices, r, k), one per subset of omega.
+    observed = _check3(observed)
+    factor = _check3(factor)
+    name, axis = ("x", 0) if y_update else ("y", 1)
+    if observed.shape[axis] != factor.shape[0] or observed.shape[2] != factor.shape[2]:
+        raise DimensionMismatch(f"observed {observed.shape} vs {name} {factor.shape}")
+    sol = _solve_slices(
+        circulant_rows(factor, 1 if y_update else -1),
+        _slices(np.stack([sub.mask for sub in subsets]), y_update),
+        _slices(project(observed, omega), y_update),
+        opts or LsOptions(),
+    )
+    return sol.reshape(sol.shape[:2] + factor.shape[1:])
 
 
 def ls_solve_y(observed, omega, x, opts=None):
-    """Minimize ||P_Omega(T - X * Y^dag)||_F^2 over Y (n, r, k).
-
-    `observed` must already be masked (entries outside Omega are zero).
-    """
-    opts = opts or LsOptions()
-    observed = _check3(observed)
-    x = _check3(x)
-    if observed.shape[:1] + observed.shape[2:] != x.shape[:1] + x.shape[2:]:
-        raise DimensionMismatch(f"observed {observed.shape} vs x {x.shape}")
-    if observed.shape != omega.dims:
-        raise DimensionMismatch(f"observed {observed.shape} vs omega {omega.dims}")
-    of = fft_mode3(observed)
-    mf = fft_mode3(omega.mask_tensor())
-    xf = fft_mode3(x)
-    # The unknown in each slice system is the spectrum of Y^dag's tube,
-    # i.e. the conjugate of Y's own spectrum.
-    yf = np.conj(_solve_factor(of, mf, xf, opts))
-    return ifft_mode3(yf)
+    """Minimize ||P_Omega(T - X * Y^dag)||_F^2 over Y (n, r, k); entries of
+    `observed` outside Omega are ignored."""
+    return _half_step(observed, omega, x, True, [omega], opts)[0]
 
 
 def ls_solve_x(observed, omega, y, opts=None):
-    """Minimize ||P_Omega(T - X * Y^dag)||_F^2 over X (m, r, k).
-
-    Solved as the tube-wise transposed twin of ls_solve_y: rows of T become
-    lateral slices and the known factor enters conjugated.
-    """
-    opts = opts or LsOptions()
-    observed = _check3(observed)
-    y = _check3(y)
-    if observed.shape[1] != y.shape[0] or observed.shape[2] != y.shape[2]:
-        raise DimensionMismatch(f"observed {observed.shape} vs y {y.shape}")
-    if observed.shape != omega.dims:
-        raise DimensionMismatch(f"observed {observed.shape} vs omega {omega.dims}")
-    of = fft_mode3(tube_transpose(observed))
-    mf = fft_mode3(tube_transpose(omega.mask_tensor()))
-    yf = np.conj(fft_mode3(y))
-    xf = _solve_factor(of, mf, yf, opts)
-    return ifft_mode3(xf)
+    """Minimize ||P_Omega(T - X * Y^dag)||_F^2 over X (m, r, k): the same
+    kernel over horizontal slices, with circulant rows of y at sign -1."""
+    return _half_step(observed, omega, y, False, [omega], opts)[0]
 
 
 def median_count(n):
@@ -143,18 +145,12 @@ def median_count(n):
 def median_ls(observed, omega, x, seed, t=None, opts=None):
     """Element-wise median of per-subset Y solutions over a split of Omega."""
     t = t if t is not None else median_count(observed.shape[1])
-    subsets = split(omega, t, seed)
-    sols = [
-        ls_solve_y(project(observed, sub), sub, x, opts) for sub in subsets
-    ]
-    return np.median(np.stack(sols), axis=0)
+    sols = _half_step(observed, omega, x, True, split(omega, t, seed), opts)
+    return np.median(sols, axis=0)
 
 
 def median_ls_x(observed, omega, y, seed, t=None, opts=None):
     """Median wrapper for the transposed X update."""
     t = t if t is not None else median_count(observed.shape[0])
-    subsets = split(omega, t, seed)
-    sols = [
-        ls_solve_x(project(observed, sub), sub, y, opts) for sub in subsets
-    ]
-    return np.median(np.stack(sols), axis=0)
+    sols = _half_step(observed, omega, y, False, split(omega, t, seed), opts)
+    return np.median(sols, axis=0)

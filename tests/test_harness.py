@@ -68,6 +68,20 @@ def test_t3b_truncated(tmp_path):
         read_tensor(short)
 
 
+def test_t3b_size_checked_before_reading(tmp_path):
+    # a 16-byte file whose header claims 2**32 values fails on its size,
+    # without asking for a 32 GiB read
+    path = tmp_path / "claims.t3b"
+    path.write_bytes(b"T3B1" + struct.pack("<3I", 2**16, 2**16, 1))
+    with pytest.raises(TruncatedFile):
+        read_tensor(path)
+    longer = tmp_path / "longer.t3b"
+    write_tensor(longer, np.ones((2, 2, 2)))
+    longer.write_bytes(longer.read_bytes() + b"\x00" * 8)
+    with pytest.raises(TruncatedFile):
+        read_tensor(longer)
+
+
 def test_t3b_dim_overflow(tmp_path):
     path = tmp_path / "huge.t3b"
     path.write_bytes(b"T3B1" + struct.pack("<3I", 2**20, 2**20, 2**10))

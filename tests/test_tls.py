@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from tubalkit.algebra import (
     circ_expand,
     fft_mode3,
     frobenius_norm,
+    ifft_mode3,
     tprod,
     ttranspose,
     tube_transpose,
@@ -21,12 +24,65 @@ from tubalkit.sampling import (
 )
 from tubalkit.tls import (
     LsOptions,
-    build_slice_system,
+    circulant_rows,
     ls_solve_x,
     ls_solve_y,
     median_count,
     median_ls,
 )
+
+
+def build_slice_system(observed_freq, mask_freq, x_freq, j):
+    """Frequency-domain design matrix and right-hand side of lateral slice j.
+
+    Masking a tube in the time domain is a circular convolution of spectra,
+    so the design couples frequencies through the circulant of the mask
+    tube's DFT.  Rows are (i, output frequency), columns (s, input
+    frequency):
+
+    design[(i, ko), (s, ki)] = (1/k) * circ(mask_freq[i, j, :])[ko, ki]
+                                     * x_freq[i, s, ki]
+    b[(i, ko)] = observed_freq[i, j, ko]
+
+    Test oracle only: the solver assembles real time-domain rows instead.
+    """
+    m, n, k = observed_freq.shape
+    r = x_freq.shape[1]
+    idx = (np.arange(k)[:, None] - np.arange(k)[None, :]) % k
+    circs = mask_freq[:, j, :][:, idx]  # (m, k, k): [i, ko, ki]
+    design = np.einsum("iab,isb->iasb", circs, x_freq) / k
+    b = observed_freq[:, j, :].reshape(m * k)
+    return design.reshape(m * k, r * k), b
+
+
+def freq_solve(observed_freq, mask_freq, factor_freq, regularization=0.0):
+    """Complex lstsq of every slice system; (n, r, k) spectra laid out (s, kappa)."""
+    m, n, k = observed_freq.shape
+    cols = factor_freq.shape[1] * k
+    out = np.empty((n, factor_freq.shape[1], k), dtype=complex)
+    for j in range(n):
+        design, b = build_slice_system(observed_freq, mask_freq, factor_freq, j)
+        if regularization > 0:
+            design = np.vstack([design, math.sqrt(regularization) * np.eye(cols)])
+            b = np.concatenate([b, np.zeros(cols)])
+        out[j] = np.linalg.lstsq(design, b, rcond=None)[0].reshape(-1, k)
+    return out
+
+
+def freq_oracle_y(observed, omega, x, regularization=0.0):
+    # the unknown in each slice system is the spectrum of Y^dag's tube, i.e.
+    # the conjugate of Y's own spectrum
+    of = fft_mode3(observed)
+    mf = fft_mode3(omega.mask_tensor())
+    return ifft_mode3(np.conj(freq_solve(of, mf, fft_mode3(x), regularization)))
+
+
+def freq_oracle_x(observed, omega, y, regularization=0.0):
+    # the tube-wise transposed twin: rows of T become lateral slices and the
+    # known factor enters conjugated
+    of = fft_mode3(tube_transpose(observed))
+    mf = fft_mode3(tube_transpose(omega.mask_tensor()))
+    return ifft_mode3(freq_solve(of, mf, np.conj(fft_mode3(y)), regularization))
 
 
 def unrolled_y_operator(x, omega):
@@ -96,6 +152,7 @@ def test_zero_observation_slice_gives_zero():
     x = rng.standard_normal((5, 2, 3))
     y = ls_solve_y(project(t, omega), omega, x)
     assert np.max(np.abs(y[2, :, :])) < 1e-12
+    assert_close(y, freq_oracle_y(project(t, omega), omega, x))
 
 
 def test_matches_unrolled_oracle():
@@ -126,15 +183,70 @@ def test_oracle_sweep_small_instances():
         assert frobenius_norm(y - ref) < 1e-7 * max(frobenius_norm(ref), 1.0)
 
 
-def test_solver_option_agreement():
+def assert_close(got, ref):
+    assert frobenius_norm(got - ref) <= 1e-12 * frobenius_norm(ref)
+
+
+def assert_matches_frequency_oracle(observed, omega, x, y, regularization=0.0):
+    opts = LsOptions(regularization=regularization)
+    ref_y = freq_oracle_y(observed, omega, x, regularization)
+    assert_close(ls_solve_y(observed, omega, x, opts), ref_y)
+    ref_x = freq_oracle_x(observed, omega, y, regularization)
+    assert_close(ls_solve_x(observed, omega, y, opts), ref_x)
+
+
+def test_frequency_oracle_agreement():
     rng = np.random.default_rng(4)
-    t = rng.standard_normal((6, 6, 3))
-    omega = sample_bernoulli(6, 6, 3, 0.8, RngSeed(4, "opts"))
-    observed = project(t, omega)
-    x = rng.standard_normal((6, 2, 3))
-    y1 = ls_solve_y(observed, omega, x, LsOptions())
-    y2 = ls_solve_y(observed, omega, x, LsOptions(solver="normal-equations"))
-    assert frobenius_norm(y1 - y2) < 1e-6 * max(frobenius_norm(y1), 1.0)
+    for k in (1, 2, 3, 5, 8):
+        for p in (0.2, 0.5, 1.0):
+            omega = sample_bernoulli(30, 24, k, p, RngSeed(k, f"agree-{p}"))
+            observed = project(rng.standard_normal((30, 24, k)), omega)
+            x = rng.standard_normal((30, 2, k))
+            y = rng.standard_normal((24, 2, k))
+            assert_matches_frequency_oracle(observed, omega, x, y)
+
+
+def criterion_3_trial(number):
+    """Replay the random draws of acceptance criterion 3 up to one trial."""
+    rng = np.random.default_rng(103)
+    for trial in range(number + 1):
+        m = int(rng.integers(2, 9))
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, 5))
+        r = int(rng.integers(1, min(m, n, 3) + 1))
+        t = rng.standard_normal((m, n, k))
+        x = rng.standard_normal((m, r, k))
+    p = [0.4, 0.6, 1.0][number % 3]
+    omega = sample_bernoulli(m, n, k, p, RngSeed(number, "c3-mask"))
+    return project(t, omega), omega, x
+
+
+def test_singular_slice_regression():
+    # Criterion 3, trial 33: slice 4 observes two rows for three unknowns.
+    # Its Gram has singular values 11.3, 0.843 and ~4e-16, and its Cholesky
+    # factorization still succeeds, with a last pivot of ~1e-13.  The slice
+    # must take the minimum-norm path all the same.
+    observed, omega, x = criterion_3_trial(33)
+    assert observed.shape == (2, 5, 3) and x.shape[1] == 1
+    kept = circulant_rows(x, 1)[omega.mask[:, 4, :].reshape(-1)]
+    gram = kept.T @ kept
+    assert np.linalg.svd(gram, compute_uv=False)[2] < 1e-12
+    np.linalg.cholesky(gram)
+    assert_close(ls_solve_y(observed, omega, x), freq_oracle_y(observed, omega, x))
+    with pytest.raises(RankDeficientSystem, match="slice 4: rank 2 < 3"):
+        ls_solve_y(observed, omega, x, LsOptions(allow_rank_deficient=False))
+
+
+def test_rank_deficient_tall_slices_take_minimum_norm():
+    # repeated factor columns: every slice has many rows but rank k < r*k
+    rng = np.random.default_rng(21)
+    omega = sample_bernoulli(15, 12, 4, 0.6, RngSeed(21, "tall"))
+    observed = project(rng.standard_normal((15, 12, 4)), omega)
+    x = np.repeat(rng.standard_normal((15, 1, 4)), 2, axis=1)
+    y = np.repeat(rng.standard_normal((12, 1, 4)), 2, axis=1)
+    assert_matches_frequency_oracle(observed, omega, x, y)
+    with pytest.raises(RankDeficientSystem, match="rank 4 < 8"):
+        ls_solve_y(observed, omega, x, LsOptions(allow_rank_deficient=False))
 
 
 def test_ridge_shrinks_solution():
@@ -146,6 +258,8 @@ def test_ridge_shrinks_solution():
     plain = ls_solve_y(observed, omega, x)
     ridged = ls_solve_y(observed, omega, x, LsOptions(regularization=10.0))
     assert frobenius_norm(ridged) < frobenius_norm(plain)
+    y = rng.standard_normal((6, 2, 3))
+    assert_matches_frequency_oracle(observed, omega, x, y, regularization=10.0)
 
 
 def test_rank_deficiency_policy():
@@ -254,6 +368,7 @@ def test_zero_observation_horizontal_slice():
     y = rng.standard_normal((4, 2, 3))
     x = ls_solve_x(project(t, omega), omega, y)
     assert np.max(np.abs(x[3, :, :])) < 1e-12
+    assert_close(x, freq_oracle_x(project(t, omega), omega, y))
 
 
 def test_build_slice_system_full_mask_degeneracy():
@@ -264,8 +379,8 @@ def test_build_slice_system_full_mask_degeneracy():
     of = fft_mode3(t)
     mf = fft_mode3(omega.mask_tensor())
     xf = fft_mode3(rng.standard_normal((m, r, k)))
-    system = build_slice_system(of, mf, xf, 1)
-    design = system.design.reshape(m, k, r, k)
+    design, _ = build_slice_system(of, mf, xf, 1)
+    design = design.reshape(m, k, r, k)
     for i in range(m):
         for ko in range(k):
             for s in range(r):
@@ -285,17 +400,17 @@ def test_build_slice_system_operator_consistency():
     x = rng.standard_normal((m, r, k))
     xf = fft_mode3(x)
     j = 2
-    system = build_slice_system(of, mf, xf, j)
+    design, b = build_slice_system(of, mf, xf, j)
     for _ in range(20):
         y = rng.standard_normal((n, r, k))
         image = project(tprod(x, ttranspose(y)), omega)
         expected = fft_mode3(image)[:, j, :].reshape(m * k)
         vec = np.conj(fft_mode3(y)[j]).reshape(r * k)
-        assert np.max(np.abs(system.design @ vec - expected)) < 1e-9 * max(
+        assert np.max(np.abs(design @ vec - expected)) < 1e-9 * max(
             1.0, np.max(np.abs(expected))
         )
     # right-hand side stacks the observed slice's tubes in row order
-    assert np.allclose(system.b, of[:, j, :].reshape(m * k))
+    assert np.allclose(b, of[:, j, :].reshape(m * k))
 
 
 def test_median_count():
