@@ -78,6 +78,7 @@ class SolveReport:
     estimate: np.ndarray | None = None
     objective: list | None = None
     feasibility_gap: float | None = None
+    admm_state: tuple | None = None  # final (z, q), to warm-start the next run
 
 
 def rse(estimate, truth):

@@ -40,6 +40,10 @@ class RankDeficientSystem(TubalError):
     pass
 
 
+class SolverBreakdown(TubalError):
+    """A LAPACK routine failed inside a solver (e.g. an SVD did not converge)."""
+
+
 class EmptySampleSet(TubalError):
     pass
 

@@ -22,6 +22,7 @@ from .altmin import SolverConfig, tubal_alt_min
 from .errors import (
     BadMagic,
     DimOverflow,
+    SolverBreakdown,
     TruncatedFile,
     TubalError,
 )
@@ -145,23 +146,39 @@ def _solver_config(spec, algo, run_seed):
 
 
 def run_algorithm(spec, algo, observed, omega, truth, run_seed):
-    """Run one algorithm on one masked instance, returning its report."""
-    if algo == "tnn-admm":
+    """Run one algorithm on one masked instance, returning its report.
+
+    TNN-ADMM without `spec.lam` runs `lambda_grid` in decreasing order, each
+    run warm-started from the previous one's (z, q), and keeps the run with
+    the lowest final RSE.  The kept report's `seconds` count from the start
+    of the path, so they include the runs before it.  A LAPACK failure is
+    raised as `SolverBreakdown`.
+    """
+    try:
+        if algo != "tnn-admm":
+            cfg = _solver_config(spec, algo, run_seed)
+            return tubal_alt_min(observed, omega, cfg, ground_truth=truth)
         if spec.lam is not None:
             lams = [spec.lam]
         else:
-            lams = lambda_grid(observed)
-        best = None
+            lams = lambda_grid(observed)[::-1]
+        best = state = None
+        path_start = time.perf_counter()
         for lam in lams:
             cfg = AdmmConfig(
                 lam=float(lam), alpha=spec.alpha, max_iters=spec.admm_iterations
             )
-            report = admm_complete(observed, omega, cfg, ground_truth=truth)
+            offset = time.perf_counter() - path_start
+            report = admm_complete(
+                observed, omega, cfg, ground_truth=truth, start=state
+            )
+            state = report.admm_state
+            report.seconds = [offset + s for s in report.seconds]
             if best is None or report.rse[-1] < best.rse[-1]:
                 best = report
         return best
-    cfg = _solver_config(spec, algo, run_seed)
-    return tubal_alt_min(observed, omega, cfg, ground_truth=truth)
+    except np.linalg.LinAlgError as exc:
+        raise SolverBreakdown(f"{algo}: {exc}") from exc
 
 
 def _instance(spec, rate, rep):

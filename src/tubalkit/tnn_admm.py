@@ -3,7 +3,14 @@
 Minimizes 0.5 * ||P_Omega(Y - X)||_F^2 + lambda * TNN(Z) subject to X = Z,
 where TNN is the nuclear norm of the block-diagonal frequency form.  The
 X subproblem is separable per entry and solved in closed form; the Z
-subproblem is singular value soft-thresholding per frequency slice.
+subproblem is singular value soft-thresholding per frequency slice.  The
+dual Q is the unscaled multiplier of X = Z, so the fixed point does not
+move with the penalty alpha.
+
+A run stops on its primal and dual residuals (Boyd et al. 2011), scaled by
+||P_Omega Y|| rather than by ||X|| or ||Z||, so the run at lambda =
+spectral norm, whose optimum is Z = 0, stops too.  A run can start from an
+earlier run's final (Z, Q), which warm-starts a decreasing lambda path.
 """
 
 import time
@@ -19,7 +26,7 @@ from .algebra import (
     _check3,
 )
 from .altmin import SolveReport, fit_convergence, rse
-from .errors import InsufficientSamples
+from .errors import DimensionMismatch, InsufficientSamples
 from .sampling import check_observed
 
 
@@ -28,7 +35,7 @@ class AdmmConfig:
     lam: float
     alpha: float = 1.0
     max_iters: int = 500
-    obj_tol: float = 1e-9
+    tol: float = 1e-6
 
     def __post_init__(self):
         if self.lam <= 0 or self.alpha <= 0:
@@ -66,35 +73,49 @@ def lambda_grid(observed, points=5):
     return np.geomspace(1e-3, 1.0, points) * spectral_norm(observed)
 
 
-def admm_complete(observed, omega, cfg, ground_truth=None):
-    """Run the ADMM recursion until the objective stalls or max_iters."""
+def admm_complete(observed, omega, cfg, ground_truth=None, start=None):
+    """Run the ADMM recursion until both residuals meet cfg.tol or max_iters.
+
+    The primal residual ||x - z|| and the dual residual alpha*||z - z_prev||
+    are compared with cfg.tol * ||P_Omega Y||.  `report.objective` records
+    the augmented Lagrangian per iteration but does not end the loop.
+    `start` is an optional (z, q) pair, e.g. the `admm_state` of a run at a
+    larger lambda; by default both start at zero.  The report's
+    `admm_state` holds this run's final (z, q).
+    """
     observed = check_observed(observed, omega)
     if omega.size == 0:
         raise InsufficientSamples("empty observation set")
     mask = omega.mask
     alpha = cfg.alpha
-    z = np.zeros_like(observed)
-    q = np.zeros_like(observed)
-    x = np.zeros_like(observed)
+    if start is None:
+        z = np.zeros_like(observed)
+        q = np.zeros_like(observed)
+    else:
+        z, q = (np.asarray(a, dtype=float) for a in start)
+        if z.shape != observed.shape or q.shape != observed.shape:
+            raise DimensionMismatch(f"start {z.shape}/{q.shape} vs {observed.shape}")
+    stop = cfg.tol * np.linalg.norm(observed)
     rse_trace = []
     seconds = []
-    start = time.perf_counter()
-    prev_obj = None
+    t0 = time.perf_counter()
     objective_trace = []
     for _ in range(cfg.max_iters):
         x = np.where(
             mask,
-            (observed + alpha * (z - q)) / (1.0 + alpha),
-            z - q,
+            (observed + (alpha * z - q)) / (1.0 + alpha),
+            z - q / alpha,
         )
+        z_prev = z
         z, tnn_z = svt(x + q / alpha, cfg.lam / alpha)
-        q = q + alpha * (x - z)
         gap = x - z
+        primal = np.linalg.norm(gap)
+        q = q + alpha * gap
         obj = (
             0.5 * np.linalg.norm((observed - x) * mask) ** 2
             + cfg.lam * tnn_z
             + float(np.sum(gap * q))
-            + 0.5 * alpha * np.linalg.norm(gap) ** 2
+            + 0.5 * alpha * primal**2
         )
         objective_trace.append(obj)
         if ground_truth is not None:
@@ -103,10 +124,9 @@ def admm_complete(observed, omega, cfg, ground_truth=None):
             denom = np.linalg.norm(observed)
             resid = np.linalg.norm((x - observed) * mask)
             rse_trace.append(float(resid / denom) if denom > 0 else 0.0)
-        seconds.append(time.perf_counter() - start)
-        if prev_obj is not None and abs(prev_obj - obj) < cfg.obj_tol:
+        seconds.append(time.perf_counter() - t0)
+        if primal <= stop and alpha * np.linalg.norm(z - z_prev) <= stop:
             break
-        prev_obj = obj
 
     slope = intercept = None
     if len(rse_trace) >= 2 and all(v > 0 for v in rse_trace):
@@ -121,5 +141,6 @@ def admm_complete(observed, omega, cfg, ground_truth=None):
         rse_is_training=ground_truth is None,
         estimate=x,
         objective=objective_trace,
-        feasibility_gap=float(np.linalg.norm(x - z)),
+        feasibility_gap=float(primal),
+        admm_state=(z, q),
     )

@@ -2,12 +2,13 @@ import csv
 import json
 import os
 import struct
+import time
 
 import numpy as np
 import pytest
 
-from tubalkit import cli, harness
-from tubalkit.errors import BadMagic, DimOverflow, TruncatedFile
+from tubalkit import cli, harness, tnn_admm
+from tubalkit.errors import BadMagic, DimOverflow, SolverBreakdown, TruncatedFile
 from tubalkit.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -335,3 +336,45 @@ def test_cli_exit_codes(tmp_path):
             ]
         )
         assert malformed == 3
+
+
+def test_admm_path_seconds_include_earlier_runs(tmp_path, monkeypatch):
+    durations = []
+    reports = []
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        reports.append(tnn_admm.admm_complete(*args, **kwargs))
+        durations.append(time.perf_counter() - start)
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "admm_complete", timed)
+    spec = tiny_spec(tmp_path, algorithms=("tnn-admm",))
+    truth, observed, omega, base = harness._instance(spec, 0.8, 0)
+    kept = harness.run_algorithm(spec, "tnn-admm", observed, omega, truth, base)
+    index = next(i for i, r in enumerate(reports) if r is kept)
+    assert len(reports) == 5 and index > 0
+    assert kept.seconds[0] >= sum(durations[:index])
+    assert kept.seconds == sorted(kept.seconds)
+
+
+def test_lapack_failure_is_solver_breakdown(tmp_path, monkeypatch):
+    def broken_svt(t, eps):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(tnn_admm, "svt", broken_svt)
+    spec = tiny_spec(tmp_path, algorithms=("altmin-simple", "tnn-admm"))
+    truth, observed, omega, base = harness._instance(spec, 0.8, 0)
+    with pytest.raises(SolverBreakdown) as exc:
+        harness.run_algorithm(spec, "tnn-admm", observed, omega, truth, base)
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+    rows, _ = run_recovery_sweep(spec)
+    by_algo = {row.algorithm: row for row in rows}
+    assert np.isnan(by_algo["tnn-admm"].rse) and by_algo["tnn-admm"].iter == 0
+    assert np.isfinite(by_algo["altmin-simple"].rse)
+    table = read_csv(tmp_path / "sweep.csv")
+    assert ["tnn-admm", "nan"] == [table[2][0], table[2][4]]
+    args = ["--size", "10,10,2", "--rank", "1", "--algo", "tnn-admm", "--out", str(tmp_path)]
+    # a sweep records the failure in its row; a trace has no row to put it in
+    assert cli.main(["sweep", *args]) == 0
+    assert cli.main(["converge", *args]) == 4
