@@ -41,13 +41,13 @@ def main():
     conds = {"y": [], "x": []}
     solve_y, solve_x = altmin.ls_solve_y, altmin.ls_solve_x
 
-    def traced_y(observed, omega, x, opts=None):
+    def traced_y(observed, omega, x):
         conds["y"].append(gram_conditions(observed, omega, x, True))
-        return solve_y(observed, omega, x, opts)
+        return solve_y(observed, omega, x)
 
-    def traced_x(observed, omega, y, opts=None):
+    def traced_x(observed, omega, y):
         conds["x"].append(gram_conditions(observed, omega, y, False))
-        return solve_x(observed, omega, y, opts)
+        return solve_x(observed, omega, y)
 
     altmin.ls_solve_y, altmin.ls_solve_x = traced_y, traced_x
     try:

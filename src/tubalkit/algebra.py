@@ -17,44 +17,17 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    ImaginaryResidualTooLarge,
-    IndexOutOfRange,
     InvalidEntries,
     NotOrthonormal,
     SingularFrequencySlice,
 )
 
-IMAG_RESIDUAL_TOL = 1e-6
 
-
-def _check3(t, name="tensor"):
+def _check3(t):
     t = np.asarray(t)
     if t.ndim != 3:
-        raise DimensionMismatch(f"{name} must be 3-way, got shape {t.shape}")
+        raise DimensionMismatch(f"tensor must be 3-way, got shape {t.shape}")
     return t
-
-
-def fft_mode3(t):
-    """DFT of every tube, i.e. along the third mode."""
-    return np.fft.fft(_check3(t), axis=2)
-
-
-def ifft_mode3(f, tol=IMAG_RESIDUAL_TOL):
-    """Inverse mode-3 DFT back to a real tensor.
-
-    Raises ImaginaryResidualTooLarge when the input is not the frequency
-    image of a real tensor (relative imaginary residual above `tol`).
-    """
-    f = _check3(f)
-    x = np.fft.ifft(f, axis=2)
-    scale = np.linalg.norm(x)
-    if scale > 0:
-        rel = np.linalg.norm(x.imag) / scale
-        if rel > tol:
-            raise ImaginaryResidualTooLarge(
-                f"imaginary residual {rel:.3e} exceeds {tol:.1e}"
-            )
-    return np.ascontiguousarray(x.real)
 
 
 def freq_slices(t):
@@ -111,11 +84,6 @@ def ttranspose(t):
     return np.ascontiguousarray(rolled.transpose(1, 0, 2))
 
 
-def tube_transpose(t):
-    """Tube-wise transpose: swap the first two indices, keep tubes intact."""
-    return np.ascontiguousarray(_check3(t).transpose(1, 0, 2))
-
-
 def identity_tensor(n, k):
     """Identity for the t-product: I_n in slice 1, zeros elsewhere."""
     out = np.zeros((n, n, k))
@@ -137,36 +105,6 @@ def tinv(t, cond_limit=1e12):
     if bad.size:
         raise SingularFrequencySlice(int(bad[0]))
     return from_freq_slices(np.linalg.inv(ft), k)
-
-
-def elementwise_prod(a, b):
-    """Entry-by-entry product of two same-shaped tensors."""
-    a = _check3(a)
-    b = _check3(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return a * b
-
-
-def tubewise_conv(a, b):
-    """Circular convolution of matching tubes of two same-shaped tensors."""
-    a = _check3(a)
-    b = _check3(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-    fc = np.fft.fft(a, axis=2) * np.fft.fft(b, axis=2)
-    if np.isrealobj(a) and np.isrealobj(b):
-        return ifft_mode3(fc)
-    return np.fft.ifft(fc, axis=2)
-
-
-def slicewise_prod(a, b):
-    """Matrix product of matching frontal slices."""
-    a = _check3(a)
-    b = _check3(b)
-    if a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
-        raise DimensionMismatch(f"cannot slice-multiply {a.shape} by {b.shape}")
-    return np.einsum("isk,sjk->ijk", a, b)
 
 
 def circ_expand(t):
@@ -192,20 +130,6 @@ def spectral_norm(t):
     return float(sv.max(initial=0.0))
 
 
-def infinity_norm(t):
-    return float(np.max(np.abs(_check3(t))))
-
-
-def col_2star_norms(t):
-    """Frobenius norm of each lateral slice, as a length-n vector."""
-    t = _check3(t)
-    return np.sqrt(np.sum(t * t, axis=(0, 2)))
-
-
-def inf_2star_norm(t):
-    return float(np.max(col_2star_norms(t)))
-
-
 def orthonormality_error(u):
     """Frobenius distance of U^dag * U from the identity tensor."""
     u = _check3(u)
@@ -225,21 +149,3 @@ def coherence(u, orth_tol=1e-8):
         raise NotOrthonormal("input lateral slices are not orthonormal")
     row_sq = np.sum(u * u, axis=(1, 2))
     return float(n / r * np.max(row_sq))
-
-
-def column_basis(i, m, k):
-    """(m, 1, k) basis tensor with a single 1 at row i of slice 1 (0-based)."""
-    if not 0 <= i < m:
-        raise IndexOutOfRange(f"column index {i} outside [0, {m})")
-    out = np.zeros((m, 1, k))
-    out[i, 0, 0] = 1.0
-    return out
-
-
-def tubal_basis(j, k):
-    """Length-k tube with a single 1 at position j (0-based)."""
-    if not 0 <= j < k:
-        raise IndexOutOfRange(f"tube index {j} outside [0, {k})")
-    out = np.zeros(k)
-    out[j] = 1.0
-    return out

@@ -34,7 +34,7 @@ from .errors import (
     ZeroTruth,
 )
 from .sampling import RngSeed, check_observed, project, split
-from .tls import LsOptions, ls_solve_x, ls_solve_y, median_ls, median_ls_x
+from .tls import ls_solve_x, ls_solve_y, median_ls, median_ls_x
 from .tsvd import top_r_eigenslices
 
 
@@ -45,7 +45,6 @@ class SolverConfig:
     epsilon: float = 0.01
     coherence_budget: float = 1e6
     variant: str = "simplified"
-    ls: LsOptions = field(default_factory=LsOptions)
     seed: RngSeed = field(default_factory=lambda: RngSeed(0, "altmin"))
     stop_rse: float | None = None
     stall_window: int = 3
@@ -79,6 +78,7 @@ class SolveReport:
     objective: list | None = None
     feasibility_gap: float | None = None
     admm_state: tuple | None = None  # final (z, q), to warm-start the next run
+    path_iterations: int | None = None  # ADMM iterations of the whole lambda path
 
 
 def rse(estimate, truth):
@@ -102,6 +102,25 @@ def fit_convergence(trace):
         raise NonPositiveRse("all trace values must be positive")
     slope, intercept = np.polyfit(np.arange(trace.size), np.log10(trace), 1)
     return float(slope), float(intercept)
+
+
+def fit_line(trace):
+    """fit_convergence of a trace, or (None, None) when the trace is shorter
+    than two points or holds a value <= 0."""
+    if len(trace) >= 2 and all(v > 0 for v in trace):
+        return fit_convergence(trace)
+    return None, None
+
+
+def trace_error(estimate, observed, omega, ground_truth=None):
+    """RSE against ground_truth when given; otherwise the training residual
+    ||P_Omega(estimate) - observed|| / ||observed||, 0 when nothing is
+    observed."""
+    if ground_truth is not None:
+        return rse(estimate, ground_truth)
+    denom = np.linalg.norm(observed)
+    resid = np.linalg.norm(project(estimate, omega) - observed)
+    return float(resid / denom) if denom > 0 else 0.0
 
 
 def qr_tensor(y):
@@ -172,15 +191,6 @@ def smooth_qr(y, eps, mu, seed):
     return z, sigma_used
 
 
-def _report_rse(x, y, ground_truth, observed, omega):
-    estimate = tprod(x, ttranspose(y))
-    if ground_truth is not None:
-        return rse(estimate, ground_truth), estimate
-    resid = np.linalg.norm(project(estimate, omega) - observed)
-    denom = np.linalg.norm(observed)
-    return float(resid / denom) if denom > 0 else 0.0, estimate
-
-
 def _stalled(trace, window, tol):
     if len(trace) <= window:
         return False
@@ -199,11 +209,11 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
     if cfg.variant == "simplified":
         rng = cfg.seed.derive("x0").rng()
         x, _ = qr_tensor(rng.standard_normal((m, r, k)))
-        y = None
         for _ in range(cfg.iterations):
-            y = ls_solve_y(observed, omega, x, cfg.ls)
-            x = ls_solve_x(observed, omega, y, cfg.ls)
-            value, _ = _report_rse(x, y, ground_truth, observed, omega)
+            y = ls_solve_y(observed, omega, x)
+            x = ls_solve_x(observed, omega, y)
+            estimate = tprod(x, ttranspose(y))
+            value = trace_error(estimate, observed, omega, ground_truth)
             rse_trace.append(value)
             seconds.append(time.perf_counter() - start)
             if cfg.stop_rse is not None and value <= cfg.stop_rse:
@@ -219,21 +229,16 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
         x = initialize(
             project(observed, omega0), omega0, r, cfg.coherence_budget, cfg.seed
         )
-        final_x = x
-        final_y = None
         for step, part in enumerate(parts):
             sub_observed = project(observed, part)
             seed_step = cfg.seed.derive(f"iter{step}")
-            y_raw = median_ls(
-                sub_observed, part, x, seed_step.derive("y"), opts=cfg.ls
-            )
+            y_raw = median_ls(sub_observed, part, x, seed_step.derive("y"))
             y, _ = smooth_qr(
                 y_raw, cfg.epsilon, cfg.coherence_budget, seed_step.derive("qy")
             )
-            x_raw = median_ls_x(
-                sub_observed, part, y, seed_step.derive("x"), opts=cfg.ls
-            )
-            value, _ = _report_rse(x_raw, y, ground_truth, observed, omega)
+            x_raw = median_ls_x(sub_observed, part, y, seed_step.derive("x"))
+            estimate = tprod(x_raw, ttranspose(y))
+            value = trace_error(estimate, observed, omega, ground_truth)
             rse_trace.append(value)
             seconds.append(time.perf_counter() - start)
             final_x, final_y = x_raw, y
@@ -245,13 +250,7 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
             if _stalled(rse_trace, cfg.stall_window, cfg.stall_tol):
                 break
 
-    slope = intercept = None
-    positive = [v for v in rse_trace if v > 0]
-    if len(rse_trace) >= 2 and len(positive) == len(rse_trace):
-        slope, intercept = fit_convergence(rse_trace)
-    estimate = None
-    if final_y is not None:
-        estimate = tprod(final_x, ttranspose(final_y))
+    slope, intercept = fit_line(rse_trace)
     return SolveReport(
         rse=rse_trace,
         seconds=seconds,

@@ -121,9 +121,12 @@ def main(argv=None):
     except (FileFormatError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except (TubalError, ValueError) as exc:
+    except TubalError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:
+        print(f"bad argument: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

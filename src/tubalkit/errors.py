@@ -9,10 +9,6 @@ class DimensionMismatch(TubalError):
     pass
 
 
-class ImaginaryResidualTooLarge(TubalError):
-    pass
-
-
 class InvalidEntries(TubalError):
     """Tensor values a real-valued solve cannot use: complex entries, or
     non-finite observations inside the sample set."""
@@ -28,15 +24,7 @@ class NotOrthonormal(TubalError):
     pass
 
 
-class IndexOutOfRange(TubalError):
-    pass
-
-
 class RankOutOfRange(TubalError):
-    pass
-
-
-class RankDeficientSystem(TubalError):
     pass
 
 

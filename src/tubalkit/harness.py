@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .altmin import SolverConfig, tubal_alt_min
+from .altmin import SolverConfig, trace_error, tubal_alt_min
 from .errors import (
     BadMagic,
     DimOverflow,
@@ -151,8 +151,9 @@ def run_algorithm(spec, algo, observed, omega, truth, run_seed):
     TNN-ADMM without `spec.lam` runs `lambda_grid` in decreasing order, each
     run warm-started from the previous one's (z, q), and keeps the run with
     the lowest final RSE.  The kept report's `seconds` count from the start
-    of the path, so they include the runs before it.  A LAPACK failure is
-    raised as `SolverBreakdown`.
+    of the path, so they include the runs before it, and its
+    `path_iterations` counts the iterations of every run.  A LAPACK failure
+    is raised as `SolverBreakdown`.
     """
     try:
         if algo != "tnn-admm":
@@ -163,6 +164,7 @@ def run_algorithm(spec, algo, observed, omega, truth, run_seed):
         else:
             lams = lambda_grid(observed)[::-1]
         best = state = None
+        total = 0
         path_start = time.perf_counter()
         for lam in lams:
             cfg = AdmmConfig(
@@ -173,9 +175,11 @@ def run_algorithm(spec, algo, observed, omega, truth, run_seed):
                 observed, omega, cfg, ground_truth=truth, start=state
             )
             state = report.admm_state
+            total += len(report.rse)
             report.seconds = [offset + s for s in report.seconds]
             if best is None or report.rse[-1] < best.rse[-1]:
                 best = report
+        best.path_iterations = total
         return best
     except np.linalg.LinAlgError as exc:
         raise SolverBreakdown(f"{algo}: {exc}") from exc
@@ -232,9 +236,10 @@ def run_recovery_sweep(spec):
             values = [
                 row.rse
                 for row in rows
-                if row.algorithm == algo and row.rate == rate
+                if row.algorithm == algo and row.rate == rate and not np.isnan(row.rse)
             ]
-            means[(algo, rate)] = float(np.nanmean(values))
+            # nan, without numpy's empty-mean warning, when every run failed
+            means[(algo, rate)] = float(np.mean(values)) if values else float("nan")
     with open(os.path.join(spec.out_dir, "sweep_summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "rate", "mean_rse"])
@@ -320,14 +325,12 @@ def complete_file(input_path, mask_path, rate, algorithm, spec, output_path):
     )
     estimate = report.estimate
     write_tensor(output_path, estimate)
-    resid = float(np.linalg.norm(project(estimate, omega) - observed))
-    denom = float(np.linalg.norm(observed))
     summary = {
         "algorithm": algorithm,
         "observed_entries": omega.size,
-        "observed_residual": resid,
-        "observed_relative_residual": resid / denom if denom > 0 else 0.0,
-        "iterations": len(report.rse),
+        "observed_residual": float(np.linalg.norm(project(estimate, omega) - observed)),
+        "observed_relative_residual": trace_error(estimate, observed, omega),
+        "iterations": report.path_iterations or len(report.rse),
     }
     with open(output_path + ".report.json", "w") as fh:
         json.dump(summary, fh, indent=2)

@@ -58,9 +58,6 @@ class SampleSet:
         """Observed (i, j, kappa) triples, 0-based, in row-major order."""
         return np.argwhere(self.mask)
 
-    def mask_tensor(self):
-        return self.mask.astype(float)
-
     @classmethod
     def from_triples(cls, m, n, k, triples):
         mask = np.zeros((m, n, k), dtype=bool)

@@ -12,12 +12,11 @@ y[j, s, (sigma - kappa) mod k].
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import _check3
-from .errors import DimensionMismatch, RankDeficientSystem
+from .errors import DimensionMismatch
 from .sampling import project, split
 
 # A Gram is numerically singular when a Cholesky pivot is at most this
@@ -28,19 +27,6 @@ SINGULAR_TOL = 1e-10
 # Systems per batched solve are capped so that their Gram stack stays this
 # small; the median wrappers solve hundreds of slices per call.
 BLOCK_BYTES = 512 * 1024
-
-
-@dataclass
-class LsOptions:
-    """regularization: ridge weight added to the normal equations;
-    minimum-norm solutions unless allow_rank_deficient is False."""
-
-    regularization: float = 0.0
-    allow_rank_deficient: bool = True
-
-    def __post_init__(self):
-        if self.regularization < 0:
-            raise ValueError("regularization must be nonnegative")
 
 
 def circulant_rows(factor, sign):
@@ -63,11 +49,11 @@ def _pivot_singular(gram):
     return np.any(pivots <= SINGULAR_TOL * diag, axis=1)
 
 
-def _solve_slices(rows, masks, values, opts):
+def _solve_slices(rows, masks, values):
     """Least-squares solutions z of rows[mask] @ z = value[mask] for every
     slice mask, i.e. every trailing row of the (..., n, P) `masks`; slice j
     of each leading index reads row j of the (n, P) `values`.  Returns
-    (..., n, q)."""
+    (..., n, q).  A singular slice gets the minimum-norm solution."""
     lead, (size, q) = masks.shape[:-1], rows.shape
     masks = masks.reshape(-1, size)
     sol = np.empty((len(masks), q))
@@ -80,10 +66,8 @@ def _solve_slices(rows, masks, values, opts):
             kept = rows[masks[slot]]
             gram[b] = kept.T @ kept
             rhs[b] = values[slot % lead[-1], masks[slot]] @ kept
-        gram += opts.regularization * np.eye(q)
-        # fewer observed rows than unknowns is singular without a
-        # factorization, unless a ridge term is added
-        singular = (masks[block].sum(axis=1) < q) & (opts.regularization == 0)
+        # fewer observed rows than unknowns is singular without a factorization
+        singular = masks[block].sum(axis=1) < q
         singular[~singular] = _pivot_singular(gram[~singular])
         ok = ~singular
         sol[block[ok]] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]
@@ -92,11 +76,6 @@ def _solve_slices(rows, masks, values, opts):
         keep = w > SINGULAR_TOL * w[:, -1:]
         coef = (rhs[singular, None, :] @ v)[:, 0] / np.where(keep, w, 1.0)
         sol[block[singular]] = (v @ np.where(keep, coef, 0.0)[..., None])[..., 0]
-        rank = keep.sum(axis=1)
-        if not opts.allow_rank_deficient and (rank < q).any():
-            first = np.argmax(rank < q)
-            j = block[singular][first] % lead[-1]
-            raise RankDeficientSystem(f"slice {j}: rank {rank[first]} < {q} unknowns")
     return sol.reshape(lead + (q,))
 
 
@@ -109,7 +88,7 @@ def _slices(t, y_update):
     return t.reshape(*t.shape[:-2], -1)
 
 
-def _half_step(observed, omega, factor, y_update, subsets, opts):
+def _half_step(observed, omega, factor, y_update, subsets):
     # Solutions (len(subsets), slices, r, k), one per subset of omega.
     observed = _check3(observed)
     factor = _check3(factor)
@@ -120,21 +99,20 @@ def _half_step(observed, omega, factor, y_update, subsets, opts):
         circulant_rows(factor, 1 if y_update else -1),
         _slices(np.stack([sub.mask for sub in subsets]), y_update),
         _slices(project(observed, omega), y_update),
-        opts or LsOptions(),
     )
     return sol.reshape(sol.shape[:2] + factor.shape[1:])
 
 
-def ls_solve_y(observed, omega, x, opts=None):
+def ls_solve_y(observed, omega, x):
     """Minimize ||P_Omega(T - X * Y^dag)||_F^2 over Y (n, r, k); entries of
     `observed` outside Omega are ignored."""
-    return _half_step(observed, omega, x, True, [omega], opts)[0]
+    return _half_step(observed, omega, x, True, [omega])[0]
 
 
-def ls_solve_x(observed, omega, y, opts=None):
+def ls_solve_x(observed, omega, y):
     """Minimize ||P_Omega(T - X * Y^dag)||_F^2 over X (m, r, k): the same
     kernel over horizontal slices, with circulant rows of y at sign -1."""
-    return _half_step(observed, omega, y, False, [omega], opts)[0]
+    return _half_step(observed, omega, y, False, [omega])[0]
 
 
 def median_count(n):
@@ -142,15 +120,15 @@ def median_count(n):
     return max(1, round(3 * math.log2(n))) if n > 1 else 1
 
 
-def median_ls(observed, omega, x, seed, t=None, opts=None):
+def median_ls(observed, omega, x, seed, t=None):
     """Element-wise median of per-subset Y solutions over a split of Omega."""
     t = t if t is not None else median_count(observed.shape[1])
-    sols = _half_step(observed, omega, x, True, split(omega, t, seed), opts)
+    sols = _half_step(observed, omega, x, True, split(omega, t, seed))
     return np.median(sols, axis=0)
 
 
-def median_ls_x(observed, omega, y, seed, t=None, opts=None):
+def median_ls_x(observed, omega, y, seed, t=None):
     """Median wrapper for the transposed X update."""
     t = t if t is not None else median_count(observed.shape[0])
-    sols = _half_step(observed, omega, y, False, split(omega, t, seed), opts)
+    sols = _half_step(observed, omega, y, False, split(omega, t, seed))
     return np.median(sols, axis=0)

@@ -25,7 +25,7 @@ from .algebra import (
     spectral_norm,
     _check3,
 )
-from .altmin import SolveReport, fit_convergence, rse
+from .altmin import SolveReport, fit_line, trace_error
 from .errors import DimensionMismatch, InsufficientSamples
 from .sampling import check_observed
 
@@ -118,19 +118,12 @@ def admm_complete(observed, omega, cfg, ground_truth=None, start=None):
             + 0.5 * alpha * primal**2
         )
         objective_trace.append(obj)
-        if ground_truth is not None:
-            rse_trace.append(rse(x, ground_truth))
-        else:
-            denom = np.linalg.norm(observed)
-            resid = np.linalg.norm((x - observed) * mask)
-            rse_trace.append(float(resid / denom) if denom > 0 else 0.0)
+        rse_trace.append(trace_error(x, observed, omega, ground_truth))
         seconds.append(time.perf_counter() - t0)
         if primal <= stop and alpha * np.linalg.norm(z - z_prev) <= stop:
             break
 
-    slope = intercept = None
-    if len(rse_trace) >= 2 and all(v > 0 for v in rse_trace):
-        slope, intercept = fit_convergence(rse_trace)
+    slope, intercept = fit_line(rse_trace)
     return SolveReport(
         rse=rse_trace,
         seconds=seconds,

@@ -4,29 +4,18 @@ import pytest
 from tubalkit.algebra import (
     circ_expand,
     coherence,
-    col_2star_norms,
-    column_basis,
-    elementwise_prod,
-    fft_mode3,
+    freq_slices,
     frobenius_norm,
+    from_freq_slices,
     identity_tensor,
-    ifft_mode3,
-    inf_2star_norm,
-    infinity_norm,
-    slicewise_prod,
     spectral_norm,
     tinv,
     tprod,
     ttranspose,
-    tubal_basis,
-    tube_transpose,
-    tubewise_conv,
 )
 from tubalkit.altmin import qr_tensor
 from tubalkit.errors import (
     DimensionMismatch,
-    ImaginaryResidualTooLarge,
-    IndexOutOfRange,
     InvalidEntries,
     NotOrthonormal,
     SingularFrequencySlice,
@@ -34,7 +23,7 @@ from tubalkit.errors import (
 
 
 def naive_dft_tube(tube):
-    # O(k^2) DFT sum, used as an oracle for fft_mode3.
+    # O(k^2) DFT sum, used as an oracle for freq_slices.
     k = len(tube)
     out = np.zeros(k, dtype=complex)
     for freq in range(k):
@@ -43,48 +32,61 @@ def naive_dft_tube(tube):
     return out
 
 
+def column_basis(i, m, k):
+    # (m, 1, k) tensor with a single 1 at row i of slice 1
+    out = np.zeros((m, 1, k))
+    out[i, 0, 0] = 1.0
+    return out
+
+
+def tubal_basis(j, k):
+    # (1, 1, k) tube with a single 1 at position j
+    out = np.zeros((1, 1, k))
+    out[0, 0, j] = 1.0
+    return out
+
+
 def test_fft_k1_is_identity():
     t = np.random.default_rng(0).standard_normal((3, 4, 1))
-    f = fft_mode3(t)
-    assert np.allclose(f, t)
+    f = freq_slices(t)
+    assert f.shape == (1, 3, 4)
+    assert np.allclose(f[0], t[:, :, 0])
     assert np.iscomplexobj(f)
 
 
 def test_fft_impulse_tube():
     t = np.zeros((1, 1, 4))
     t[0, 0, 0] = 1.0
-    assert np.allclose(fft_mode3(t)[0, 0, :], np.ones(4))
+    assert np.allclose(freq_slices(t)[:, 0, 0], np.ones(3))
 
 
 def test_fft_matches_naive_dft_oracle():
     rng = np.random.default_rng(1)
-    t = rng.standard_normal((3, 2, 5))
-    f = fft_mode3(t)
-    for i in range(3):
-        for j in range(2):
-            oracle = naive_dft_tube(t[i, j, :])
-            assert np.max(np.abs(f[i, j, :] - oracle)) < 1e-12
+    # odd k has no Nyquist slice, even k ends on one
+    for k in (5, 6):
+        t = rng.standard_normal((3, 2, k))
+        f = freq_slices(t)
+        assert f.shape == (k // 2 + 1, 3, 2)
+        for i in range(3):
+            for j in range(2):
+                oracle = naive_dft_tube(t[i, j, :])[: k // 2 + 1]
+                assert np.max(np.abs(f[:, i, j] - oracle)) < 1e-12
 
 
 def test_ifft_round_trip():
     rng = np.random.default_rng(2)
-    t = rng.standard_normal((4, 4, 8))
-    back = ifft_mode3(fft_mode3(t))
-    assert np.linalg.norm(back - t) < 1e-12 * np.linalg.norm(t)
+    for k in (1, 2, 7, 8):
+        t = rng.standard_normal((4, 3, k))
+        back = from_freq_slices(freq_slices(t), k)
+        assert back.shape == t.shape
+        assert np.linalg.norm(back - t) < 1e-12 * np.linalg.norm(t)
 
 
 def test_ifft_all_ones_frequency_tube():
-    f = np.ones((1, 1, 4), dtype=complex)
+    f = np.ones((3, 1, 1), dtype=complex)  # half spectrum of k = 4
     expected = np.zeros(4)
     expected[0] = 1.0
-    assert np.allclose(ifft_mode3(f)[0, 0, :], expected)
-
-
-def test_ifft_rejects_conjugate_symmetry_violation():
-    f = np.zeros((1, 1, 4), dtype=complex)
-    f[0, 0, 1] = 1.0 + 2.0j  # no conjugate partner at frequency 3
-    with pytest.raises(ImaginaryResidualTooLarge):
-        ifft_mode3(f)
+    assert np.allclose(from_freq_slices(f, 4)[0, 0, :], expected)
 
 
 def test_tprod_identity():
@@ -157,25 +159,12 @@ def test_ttranspose_slice_layout():
         assert np.allclose(out[:, :, kappa], t[:, :, 5 - kappa].T)
 
 
-def test_tube_transpose_basics():
-    t = np.random.default_rng(9).standard_normal((3, 4, 5))
-    out = tube_transpose(t)
-    assert out.shape == (4, 3, 5)
-    assert np.allclose(tube_transpose(out), t)
-    for i in range(3):
-        for j in range(4):
-            assert np.allclose(out[j, i, :], t[i, j, :])
-    # differs from the t-transpose once k >= 2
-    assert not np.allclose(out, ttranspose(t))
-
-
 def test_identity_tensor_shape():
     one = identity_tensor(1, 1)
     assert one.shape == (1, 1, 1) and one[0, 0, 0] == 1.0
     eye = identity_tensor(3, 4)
-    f = fft_mode3(eye)
-    for kappa in range(4):
-        assert np.allclose(f[:, :, kappa], np.eye(3))
+    for f in freq_slices(eye):
+        assert np.allclose(f, np.eye(3))
 
 
 def test_tinv_identity_and_round_trip():
@@ -183,15 +172,12 @@ def test_tinv_identity_and_round_trip():
     assert np.allclose(tinv(eye), eye, atol=1e-12)
     # build a well-conditioned tensor from random orthogonal frequency slices
     rng = np.random.default_rng(10)
-    f = np.zeros((4, 4, 3), dtype=complex)
     q0 = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     q1 = np.linalg.qr(
         rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     )[0]
-    f[:, :, 0] = q0
-    f[:, :, 1] = q1
-    f[:, :, 2] = q1.conj()
-    t = ifft_mode3(f)
+    # half spectrum of k = 3; slice 2 is the conjugate of slice 1
+    t = from_freq_slices(np.stack([q0, q1]), 3)
     back = tprod(tinv(t), t)
     assert np.linalg.norm(back - identity_tensor(4, 3)) < 1e-8
 
@@ -206,36 +192,17 @@ def test_tinv_singular_slice():
         tinv(t)
 
 
-def test_elementwise_prod_with_ones():
-    t = np.random.default_rng(11).standard_normal((3, 3, 4))
-    assert np.allclose(elementwise_prod(t, np.ones_like(t)), t)
-    with pytest.raises(DimensionMismatch):
-        elementwise_prod(t, np.zeros((3, 3, 5)))
-
-
-def test_tubewise_conv_impulse_identity():
-    t = np.random.default_rng(12).standard_normal((3, 3, 4))
-    impulse = np.zeros_like(t)
-    impulse[:, :, 0] = 1.0
-    assert np.allclose(tubewise_conv(t, impulse), t, atol=1e-12)
-
-
 def test_convolution_theorem():
+    # the t-product of two tubes is their circular convolution
     rng = np.random.default_rng(13)
-    a = rng.standard_normal((3, 3, 4))
-    b = rng.standard_normal((3, 3, 4))
-    lhs = fft_mode3(tubewise_conv(a, b))
-    rhs = fft_mode3(a) * fft_mode3(b)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def test_slicewise_prod():
-    rng = np.random.default_rng(14)
-    a = rng.standard_normal((3, 4, 2))
-    b = rng.standard_normal((4, 5, 2))
-    out = slicewise_prod(a, b)
-    for kappa in range(2):
-        assert np.allclose(out[:, :, kappa], a[:, :, kappa] @ b[:, :, kappa])
+    for k in (3, 4):
+        a = rng.standard_normal((1, 1, k))
+        b = rng.standard_normal((1, 1, k))
+        direct = [
+            sum(a[0, 0, t] * b[0, 0, (kappa - t) % k] for t in range(k))
+            for kappa in range(k)
+        ]
+        assert np.max(np.abs(tprod(a, b)[0, 0, :] - direct)) < 1e-12
 
 
 def test_circ_expand_1x1x2_layout():
@@ -267,8 +234,6 @@ def test_norms_zero_and_identity():
     z = np.zeros((3, 3, 2))
     assert frobenius_norm(z) == 0
     assert spectral_norm(z) == 0
-    assert infinity_norm(z) == 0
-    assert inf_2star_norm(z) == 0
     eye = identity_tensor(5, 3)
     assert np.isclose(spectral_norm(eye), 1.0)
     assert np.isclose(frobenius_norm(eye), np.sqrt(5))
@@ -280,14 +245,6 @@ def test_spectral_norm_matches_circ_svd():
         t = rng.standard_normal((5, 4, k))
         top = np.linalg.svd(circ_expand(t), compute_uv=False)[0]
         assert abs(spectral_norm(t) - top) < 1e-9
-
-
-def test_col_2star_norms():
-    t = np.random.default_rng(18).standard_normal((4, 3, 5))
-    norms = col_2star_norms(t)
-    for j in range(3):
-        assert np.isclose(norms[j], np.linalg.norm(t[:, j, :]))
-    assert np.isclose(inf_2star_norm(t), norms.max())
 
 
 def test_coherence_extremes():
@@ -316,16 +273,6 @@ def test_coherence_rejects_non_orthonormal():
         coherence(np.random.default_rng(20).standard_normal((6, 2, 3)))
 
 
-def test_column_basis():
-    e = column_basis(0, 2, 2)
-    assert e.shape == (2, 1, 2)
-    assert e[0, 0, 0] == 1.0 and np.count_nonzero(e) == 1
-    with pytest.raises(IndexOutOfRange):
-        column_basis(2, 2, 2)
-    with pytest.raises(IndexOutOfRange):
-        tubal_basis(5, 3)
-
-
 def test_basis_decomposition_reconstructs():
     rng = np.random.default_rng(21)
     t = rng.standard_normal((2, 2, 2))
@@ -334,9 +281,8 @@ def test_basis_decomposition_reconstructs():
     for i in range(2):
         for j in range(2):
             for kappa in range(k):
-                tube = tubal_basis(kappa, k).reshape(1, 1, k)
                 piece = tprod(
-                    tprod(column_basis(i, 2, k), tube),
+                    tprod(column_basis(i, 2, k), tubal_basis(kappa, k)),
                     ttranspose(column_basis(j, 2, k)),
                 )
                 acc += t[i, j, kappa] * piece

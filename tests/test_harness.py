@@ -220,6 +220,29 @@ def test_complete_file_round_trip(tmp_path):
         assert json.load(fh) == summary
 
 
+def test_complete_file_counts_whole_admm_path(tmp_path, monkeypatch):
+    from tubalkit.sampling import synth_low_tubal_rank
+
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(tnn_admm.admm_complete(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "admm_complete", recorded)
+    t, _ = synth_low_tubal_rank(10, 10, 3, 1, RngSeed(6, "cfa"))
+    src = tmp_path / "in.t3b"
+    dst = tmp_path / "out.t3b"
+    write_tensor(src, t)
+    spec = tiny_spec(tmp_path, algorithms=("tnn-admm",))
+    harness.complete_file(str(src), None, 0.7, "tnn-admm", spec, str(dst))
+    with open(str(dst) + ".report.json") as fh:
+        summary = json.load(fh)
+    assert len(reports) == 5
+    assert summary["iterations"] == sum(len(r.rse) for r in reports)
+    assert summary["iterations"] > max(len(r.rse) for r in reports)
+
+
 def test_complete_file_with_mask(tmp_path):
     from tubalkit.sampling import synth_low_tubal_rank
 
@@ -311,10 +334,12 @@ def test_cli_exit_codes(tmp_path):
         ]
     )
     assert missing == 3
-    bad_rate = cli.main(
-        ["sweep", "--rates", "1.5", "--out", str(tmp_path)]
-    )
-    assert bad_rate == 4
+    # bad argument values exit 2, like the ones argparse rejects
+    small = ["--size", "6,6,2", "--rank", "1", "--out", str(tmp_path)]
+    for bad in (["--rates", "1.5"], ["--reps", "0"], ["--iters", "0"]):
+        assert cli.main(["sweep", *small, *bad]) == 2
+    bad_alpha = ["--algo", "tnn-admm", "--alpha", "-1"]
+    assert cli.main(["converge", *small, *bad_alpha]) == 2
     tensor_path = tmp_path / "t.t3b"
     write_tensor(tensor_path, np.zeros((2, 2, 2)))
     for body in ("1 1 x\n", "1 1 9\n"):  # non-integer field, out of range
@@ -358,6 +383,7 @@ def test_admm_path_seconds_include_earlier_runs(tmp_path, monkeypatch):
     assert kept.seconds == sorted(kept.seconds)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lapack_failure_is_solver_breakdown(tmp_path, monkeypatch):
     def broken_svt(t, eps):
         raise np.linalg.LinAlgError("SVD did not converge")
