@@ -212,7 +212,7 @@ def run_recovery_sweep(spec):
                 )
                 final = report.rse[-1]
                 elapsed = report.seconds[-1]
-                iters = len(report.rse)
+                iters = report.path_iterations or len(report.rse)
             except TubalError:
                 final = float("nan")
                 elapsed = time.perf_counter() - start

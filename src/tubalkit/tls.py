@@ -5,10 +5,19 @@ slices j.  Entry (i, j, kappa) of X * Y^dag is the sum over (s, sigma) of
 x[i, s, (kappa + sigma) mod k] * y[j, s, sigma], so every observed entry is
 one real row of the circulant-row matrix C: row (i, kappa), column
 (s, sigma) holds x[i, s, (kappa + sigma) mod k].  All slices share C; slice
-j keeps the rows it observes, and the normal equations of all slices go
-through batched solves, many slices per call.  The X update is the same
-kernel on horizontal slices i, with rows (j, kappa) holding
+j keeps the rows it observes.  The X update is the same kernel on
+horizontal slices i, with rows (j, kappa) holding
 y[j, s, (sigma - kappa) mod k].
+
+Each slice system K z = b, with h observed rows and q = r*k unknowns, is
+solved by its row count.  A slice with h = 0 gets z = 0.  A slice with
+0 < h < q gets the minimum-norm z = K^T (K K^T)^+ b from the h x h row
+Gram; these slices go through padded, batched eigh calls, with no loop
+over slices.  A slice with h >= q solves its q x q normal equations
+K^T K z = K^T b, batched, and falls back to the pseudo-inverse when a
+Cholesky pivot says the Gram is singular.  K K^T and K^T K have the same
+nonzero eigenvalues, so both pseudo-inverses apply the same eigenvalue
+cut.
 """
 
 import math
@@ -24,8 +33,9 @@ from .sampling import project, split
 # smallest eigenvalue is rounding noise.  The minimum-norm solution of a
 # singular Gram drops eigenvalues at most this fraction of its largest.
 SINGULAR_TOL = 1e-10
-# Systems per batched solve are capped so that their Gram stack stays this
-# small; the median wrappers solve hundreds of slices per call.
+# Systems per batched solve are capped so that their Gram stack, or their
+# stack of gathered rows, stays this small; the median wrappers solve
+# hundreds of slices per call.
 BLOCK_BYTES = 512 * 1024
 
 
@@ -49,33 +59,74 @@ def _pivot_singular(gram):
     return np.any(pivots <= SINGULAR_TOL * diag, axis=1)
 
 
-def _solve_slices(rows, masks, values):
-    """Least-squares solutions z of rows[mask] @ z = value[mask] for every
-    slice mask, i.e. every trailing row of the (..., n, P) `masks`; slice j
-    of each leading index reads row j of the (n, P) `values`.  Returns
-    (..., n, q).  A singular slice gets the minimum-norm solution."""
-    lead, (size, q) = masks.shape[:-1], rows.shape
-    masks = masks.reshape(-1, size)
-    sol = np.empty((len(masks), q))
+def _pinv_apply(gram, rhs):
+    # pseudo-inverse of each symmetric Gram applied to its rhs, through eigh,
+    # dropping eigenvalues at most SINGULAR_TOL of the largest
+    w, v = np.linalg.eigh(gram)
+    keep = w > SINGULAR_TOL * w[:, -1:]
+    coef = (rhs[:, None, :] @ v)[:, 0] / np.where(keep, w, 1.0)
+    return (v @ np.where(keep, coef, 0.0)[..., None])[..., 0]
+
+
+def _solve_tall(rows, masks, values, count, sol):
+    # systems with at least q observed rows: per-slice Grams K^T K, batched
+    # solves, and minimum-norm solutions where a Cholesky pivot says singular
+    q = rows.shape[1]
+    tall = np.flatnonzero(count >= q)
     step = max(1, BLOCK_BYTES // (8 * q * q))
-    for lo in range(0, len(masks), step):
-        block = np.arange(lo, min(lo + step, len(masks)))
+    for lo in range(0, len(tall), step):
+        block = tall[lo : lo + step]
         gram = np.empty((len(block), q, q))
         rhs = np.empty((len(block), q))
         for b, slot in enumerate(block):
             kept = rows[masks[slot]]
             gram[b] = kept.T @ kept
-            rhs[b] = values[slot % lead[-1], masks[slot]] @ kept
-        # fewer observed rows than unknowns is singular without a factorization
-        singular = masks[block].sum(axis=1) < q
-        singular[~singular] = _pivot_singular(gram[~singular])
+            rhs[b] = values[slot % len(values), masks[slot]] @ kept
+        singular = _pivot_singular(gram)
         ok = ~singular
         sol[block[ok]] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]
-        # minimum-norm solutions of the singular systems through eigh
-        w, v = np.linalg.eigh(gram[singular])
-        keep = w > SINGULAR_TOL * w[:, -1:]
-        coef = (rhs[singular, None, :] @ v)[:, 0] / np.where(keep, w, 1.0)
-        sol[block[singular]] = (v @ np.where(keep, coef, 0.0)[..., None])[..., 0]
+        sol[block[singular]] = _pinv_apply(gram[singular], rhs[singular])
+
+
+def _solve_wide(rows, masks, values, count, sol):
+    # systems with 0 < h < q observed rows: the minimum-norm solution
+    # K^T (K K^T)^+ b from the h x h row Grams.  Sorted by h, each block pads
+    # its row lists to its largest h with an appended zero row of `rows`,
+    # whose zero eigenvalues the cut drops.
+    q = rows.shape[1]
+    wide = np.flatnonzero((count > 0) & (count < q))
+    if not len(wide):
+        return
+    wide = wide[np.argsort(count[wide])]
+    h = count[wide]
+    system, pos = np.nonzero(masks[wide])
+    rank = np.arange(len(system)) - np.repeat(np.cumsum(h) - h, h)
+    index = np.full((len(wide), h[-1]), len(rows))
+    index[system, rank] = pos
+    rhs = np.zeros(index.shape)
+    rhs[system, rank] = values[wide[system] % len(values), pos]
+    rows = np.vstack([rows, np.zeros((1, q))])
+    step = max(1, BLOCK_BYTES // (8 * h[-1] * q))
+    for lo in range(0, len(wide), step):
+        hi = min(lo + step, len(wide))
+        kept = rows[index[lo:hi, : h[hi - 1]]]
+        coef = _pinv_apply(kept @ kept.transpose(0, 2, 1), rhs[lo:hi, : h[hi - 1]])
+        sol[wide[lo:hi]] = (coef[:, None, :] @ kept)[:, 0]
+
+
+def _solve_slices(rows, masks, values):
+    """Least-squares solutions z of rows[mask] @ z = value[mask] for every
+    slice mask, i.e. every trailing row of the (..., n, P) `masks`; slice j
+    of each leading index reads row j of the (n, P) `values`.  Returns
+    (..., n, q).  A singular slice gets the minimum-norm solution: zero when
+    it observes no row, K^T (K K^T)^+ b when it observes fewer rows than the
+    q unknowns."""
+    lead, (size, q) = masks.shape[:-1], rows.shape
+    masks = masks.reshape(-1, size)
+    count = masks.sum(axis=1)
+    sol = np.zeros((len(masks), q))
+    _solve_tall(rows, masks, values, count, sol)
+    _solve_wide(rows, masks, values, count, sol)
     return sol.reshape(lead + (q,))
 
 

@@ -165,6 +165,25 @@ def test_recovery_sweep_threaded_matches_serial(tmp_path, monkeypatch):
     assert drop_seconds(rows1) == drop_seconds(rows2)
 
 
+def test_recovery_sweep_iter_counts_whole_admm_path(tmp_path, monkeypatch):
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(tnn_admm.admm_complete(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.delenv("TUBAL_THREADS", raising=False)
+    monkeypatch.setattr(harness, "admm_complete", recorded)
+    spec = tiny_spec(tmp_path, rates=[0.9, 0.7], algorithms=("tnn-admm",))
+    rows, _ = run_recovery_sweep(spec)
+    assert len(rows) == 2 and len(reports) == 10
+    for row, path in zip(rows, (reports[:5], reports[5:])):
+        assert row.iter == sum(len(r.rse) for r in path)
+        assert row.iter > max(len(r.rse) for r in path)
+    table = read_csv(tmp_path / "sweep.csv")
+    assert [int(line[3]) for line in table[1:]] == [row.iter for row in rows]
+
+
 def test_convergence_outputs(tmp_path):
     spec = tiny_spec(tmp_path, iterations=5)
     rows, slopes = run_convergence(spec)

@@ -245,6 +245,104 @@ def test_rank_deficiency_policy():
     assert_matches_frequency_oracle(project(t, omega), omega, x, y)
 
 
+def slice_systems(observed, omega, factor, y_update):
+    """(K, b) of every slice system: lateral slices j for the Y half-step,
+    horizontal slices i for the X half-step."""
+    if y_update:
+        rows = circulant_rows(factor, 1)
+        masks, values = omega.mask.transpose(1, 0, 2), observed.transpose(1, 0, 2)
+    else:
+        rows = circulant_rows(factor, -1)
+        masks, values = omega.mask, observed
+    systems = []
+    for mask, value in zip(masks, values):
+        mask = mask.reshape(-1)
+        systems.append((rows[mask], value.reshape(-1)[mask]))
+    return systems
+
+
+def normal_equations_min_norm(kept, b):
+    # the q x q route: eigh of K^T K with the solver's eigenvalue cut
+    w, v = np.linalg.eigh(kept.T @ kept)
+    keep = w > 1e-10 * w[-1]
+    return v[:, keep] @ ((v[:, keep].T @ (kept.T @ b)) / w[keep])
+
+
+def wide_errors(observed, omega, x, y):
+    """Over every slice that observes some, but fewer than r*k, entries:
+    the relative distance from lstsq of the solver and of the q x q route,
+    and kappa^2 of the slice's singular values above the solver's cut."""
+    q = x.shape[1] * x.shape[2]
+    errors = []
+    for sol, factor, y_update in ((ls_solve_y, x, True), (ls_solve_x, y, False)):
+        got = sol(observed, omega, factor).reshape(-1, q)
+        systems = slice_systems(observed, omega, factor, y_update)
+        for z, (kept, b) in zip(got, systems):
+            if not 0 < len(kept) < q:
+                continue
+            ref = np.linalg.lstsq(kept, b, rcond=None)[0]
+            old = normal_equations_min_norm(kept, b)
+            scale = np.linalg.norm(ref)
+            sv = np.linalg.svd(kept, compute_uv=False) ** 2
+            sv = sv[sv > 1e-10 * sv[0]]
+            errors.append(
+                (
+                    np.linalg.norm(z - ref) / scale,
+                    np.linalg.norm(old - ref) / scale,
+                    sv[0] / sv[-1],
+                )
+            )
+    assert errors
+    return np.array(errors)
+
+
+def test_underdetermined_slices_match_lstsq():
+    # at p=0.08 most slices observe fewer entries than their 3*6 unknowns
+    rng = np.random.default_rng(30)
+    omega = sample_bernoulli(30, 24, 6, 0.08, RngSeed(30, "wide"))
+    observed = project(rng.standard_normal((30, 24, 6)), omega)
+    x = rng.standard_normal((30, 3, 6))
+    y = rng.standard_normal((24, 3, 6))
+    errors = wide_errors(observed, omega, x, y)
+    assert len(errors) > 30
+    assert errors[:, 0].max() <= 1e-10
+
+
+def test_rank_deficient_wide_slices_share_normal_equation_error_bound():
+    # repeated factor columns: rank at most k, below h on most wide slices.
+    # The h x h row Gram and the q x q Gram both square the condition
+    # number of the kept spectrum; neither route is the closer one on every
+    # slice, but both stay within a small multiple of kappa^2 * eps.
+    rng = np.random.default_rng(31)
+    omega = sample_bernoulli(30, 24, 5, 0.07, RngSeed(31, "wide-deficient"))
+    observed = project(rng.standard_normal((30, 24, 5)), omega)
+    x = np.repeat(rng.standard_normal((30, 1, 5)), 3, axis=1)
+    y = np.repeat(rng.standard_normal((24, 1, 5)), 3, axis=1)
+    errors = wide_errors(observed, omega, x, y)
+    assert len(errors) > 30
+    bound = 16 * np.finfo(float).eps * errors[:, 2]
+    assert np.all(errors[:, 0] <= bound)
+    assert np.all(errors[:, 1] <= bound)
+
+
+def test_empty_slices_are_exact_zeros():
+    # empty, underdetermined and overdetermined slices in one call
+    rng = np.random.default_rng(32)
+    omega = sample_bernoulli(12, 9, 4, 0.5, RngSeed(32, "empty"))
+    omega.mask[:, 1, :] = False
+    omega.mask[:, 5, :] = False
+    omega.mask[:, 6, :] = False
+    omega.mask[:2, 6, :] = True
+    observed = project(rng.standard_normal((12, 9, 4)), omega)
+    x = rng.standard_normal((12, 2, 4))
+    y = ls_solve_y(observed, omega, x)
+    assert np.all(y[[1, 5]] == 0.0)
+    assert np.all(y[[0, 2, 3, 4, 6, 7, 8]] != 0.0)
+    omega.mask[3, :, :] = False
+    y = rng.standard_normal((9, 2, 4))
+    assert np.all(ls_solve_x(project(observed, omega), omega, y)[3] == 0.0)
+
+
 def test_perturbation_optimality():
     rng = np.random.default_rng(8)
     t, _ = synth_low_tubal_rank(7, 6, 3, 2, RngSeed(8, "opt"))
@@ -405,6 +503,22 @@ def test_median_is_elementwise_median_of_subset_solves():
     subsets = split(omega, 3, seed)
     sols = [ls_solve_y(project(observed, s), s, x) for s in subsets]
     assert np.allclose(med, np.median(np.stack(sols), axis=0), atol=1e-12)
+
+
+def test_median_of_sparse_split_is_elementwise_median():
+    # 17 subsets of a sparse mask: most slice systems are empty or wide
+    rng = np.random.default_rng(33)
+    t = rng.standard_normal((20, 12, 4))
+    omega = sample_bernoulli(20, 12, 4, 0.5, RngSeed(33, "med17"))
+    observed = project(t, omega)
+    x = rng.standard_normal((20, 2, 4))
+    seed = RngSeed(33, "med17-split")
+    med = median_ls(observed, omega, x, seed, t=17)
+    subsets = split(omega, 17, seed)
+    sols = np.stack([ls_solve_y(project(observed, s), s, x) for s in subsets])
+    counts = [s.mask.sum(axis=(0, 2)) for s in subsets]
+    assert min(c.min() for c in counts) == 0 and max(c.max() for c in counts) < 8
+    assert_close(med, np.median(sols, axis=0))
 
 
 def test_median_rejects_one_corrupted_solve():
