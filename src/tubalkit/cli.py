@@ -36,7 +36,7 @@ def _add_common(sub):
     sub.add_argument("--mu0", type=float, default=1e6)
     sub.add_argument("--eps", type=float, default=0.01)
     sub.add_argument("--lambda", dest="lam", type=float, default=None)
-    sub.add_argument("--alpha", type=float, default=1.0)
+    sub.add_argument("--alpha", type=float, help="ADMM penalty; default |Omega|/(mnk)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--reps", type=int, default=1)
     sub.add_argument("--out", default=".", help="output directory")

@@ -4,8 +4,8 @@ Minimizes 0.5 * ||P_Omega(Y - X)||_F^2 + lambda * TNN(Z) subject to X = Z,
 where TNN is the nuclear norm of the block-diagonal frequency form.  The
 X subproblem is separable per entry and solved in closed form; the Z
 subproblem is singular value soft-thresholding per frequency slice.  The
-dual Q is the unscaled multiplier of X = Z, so the fixed point does not
-move with the penalty alpha.
+dual Q is the unscaled multiplier of X = Z, so the penalty alpha (default:
+the sampling rate) moves only the speed, not the fixed point.
 
 A run stops on its primal and dual residuals (Boyd et al. 2011), scaled by
 ||P_Omega Y|| rather than by ||X|| or ||Z||, so the run at lambda =
@@ -33,12 +33,12 @@ from .sampling import check_observed
 @dataclass
 class AdmmConfig:
     lam: float
-    alpha: float = 1.0
+    alpha: float | None = None  # None: the sampling rate of the run's omega
     max_iters: int = 500
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lam <= 0 or self.alpha <= 0:
+        if self.lam <= 0 or (self.alpha is not None and self.alpha <= 0):
             raise ValueError("lam and alpha must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -56,7 +56,8 @@ def svt(t, eps):
 
     Returns (z, tnn_z): the thresholded tensor and its tensor nuclear norm,
     summed from the thresholded singular values, so callers that need both
-    pay for one batched SVD.
+    pay for one batched SVD.  z is rebuilt from the leading r singular
+    triplets only, r being the most values any slice keeps.
     """
     if eps < 0:
         raise ValueError("threshold must be nonnegative")
@@ -64,7 +65,8 @@ def svt(t, eps):
     k = t.shape[2]
     u, s, vh = np.linalg.svd(freq_slices(t), full_matrices=False)
     s = np.maximum(s - eps, 0.0)
-    z = from_freq_slices((u * s[:, None, :]) @ vh, k)
+    r = int(np.count_nonzero(s, axis=1).max())
+    z = from_freq_slices((u[:, :, :r] * s[:, None, :r]) @ vh[:, :r], k)
     return z, float(freq_weights(k) @ s.sum(axis=1))
 
 
@@ -87,7 +89,7 @@ def admm_complete(observed, omega, cfg, ground_truth=None, start=None):
     if omega.size == 0:
         raise InsufficientSamples("empty observation set")
     mask = omega.mask
-    alpha = cfg.alpha
+    alpha = omega.size / observed.size if cfg.alpha is None else cfg.alpha
     if start is None:
         z = np.zeros_like(observed)
         q = np.zeros_like(observed)

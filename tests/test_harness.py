@@ -402,6 +402,29 @@ def test_admm_path_seconds_include_earlier_runs(tmp_path, monkeypatch):
     assert kept.seconds == sorted(kept.seconds)
 
 
+def test_admm_path_keeps_last_run_without_reading_truth(tmp_path, monkeypatch):
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(tnn_admm.admm_complete(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "admm_complete", recorded)
+    spec = tiny_spec(tmp_path, algorithms=("tnn-admm",))
+    truth, observed, omega, base = harness._instance(spec, 0.8, 0)
+    kept = []
+    # against -truth the top lambda's zero estimate has the lowest RSE, so
+    # a pick that read the ground truth would keep the first run
+    for known in (truth, -truth, None):
+        reports.clear()
+        kept.append(harness.run_algorithm(spec, "tnn-admm", observed, omega, known, base))
+        assert len(reports) == 5 and kept[-1] is reports[-1]
+    assert kept[-1].rse_is_training and not kept[0].rse_is_training
+    for other in kept[:2]:
+        assert np.array_equal(other.estimate, kept[-1].estimate)
+        assert other.path_iterations == kept[-1].path_iterations
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lapack_failure_is_solver_breakdown(tmp_path, monkeypatch):
     def broken_svt(t, eps):

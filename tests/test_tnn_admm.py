@@ -4,7 +4,10 @@ import pytest
 from tubalkit import harness
 from tubalkit.algebra import (
     circ_expand,
+    freq_slices,
+    freq_weights,
     frobenius_norm,
+    from_freq_slices,
     identity_tensor,
     spectral_norm,
 )
@@ -69,6 +72,22 @@ def test_svt_hand_threshold():
     expected[:, :, 0] = np.diag([1.0, 0.0])
     assert np.allclose(out, expected, atol=1e-10)
     assert np.isclose(tnn_out, 3.0)  # singular value 1 in each of 3 slices
+
+
+def test_svt_truncated_rebuild_matches_full():
+    # z is rebuilt from the leading triplets only; the dropped ones carry
+    # zero thresholded singular values, so the full product is the reference
+    rng = np.random.default_rng(6)
+    for k in (1, 2, 5):
+        t = rng.standard_normal((6, 4, k))
+        u, s, vh = np.linalg.svd(freq_slices(t), full_matrices=False)
+        top = float(s.max())
+        for eps in (0.0, 0.3 * top, 0.8 * top, top, 2.0 * top):
+            kept = np.maximum(s - eps, 0.0)
+            full = from_freq_slices((u * kept[:, None, :]) @ vh, k)
+            z, tnn_z = svt(t, eps)
+            assert frobenius_norm(z - full) <= 1e-15 * frobenius_norm(full)
+            assert tnn_z == float(freq_weights(k) @ kept.sum(axis=1))
 
 
 def test_svt_is_contraction():
@@ -192,6 +211,35 @@ def test_admm_fixed_point_does_not_depend_on_alpha():
     assert max(finals) - min(finals) <= 1e-9 * min(finals)
 
 
+def test_admm_default_alpha_is_sampling_rate():
+    truth, observed, omega = desk_instance()
+    rate = omega.size / observed.size
+    default = admm_complete(observed, omega, AdmmConfig(lam=1.0), ground_truth=truth)
+    explicit = admm_complete(
+        observed, omega, AdmmConfig(lam=1.0, alpha=rate), ground_truth=truth
+    )
+    assert default.rse == explicit.rse
+    assert default.objective == explicit.objective
+    assert np.array_equal(default.estimate, explicit.estimate)
+
+
+def test_top_lambda_exact_start_stops_after_one_iteration():
+    # at lambda = spectral norm the optimum is z = 0 with multiplier
+    # q = P_Omega Y, whatever the penalty
+    _, observed, omega = desk_instance()
+    lam = float(lambda_grid(observed)[-1])
+    for alpha in (None, 0.25, 1.0, 4.0):
+        report = admm_complete(
+            observed,
+            omega,
+            AdmmConfig(lam=lam, alpha=alpha),
+            start=(np.zeros_like(observed), observed),
+        )
+        assert len(report.rse) == 1
+        z, _ = report.admm_state
+        assert frobenius_norm(z) <= 1e-12 * frobenius_norm(observed)
+
+
 def test_admm_warm_start_resumes_from_state():
     _, observed, omega = desk_instance()
     cfg = AdmmConfig(lam=1.0)
@@ -226,4 +274,5 @@ def test_warm_lambda_path_matches_cold_optimum(monkeypatch):
         assert len(exact.rse) < 20000
         assert frobenius_norm(warm.estimate - exact.estimate) <= 1e-5 * scale
     assert len(runs[-1][1].rse) < spec.admm_iterations  # smallest λ converged
+    assert all(len(warm.rse) < spec.admm_iterations for _, warm in runs)
     assert sum(len(warm.rse) for _, warm in runs) < cold_iters
