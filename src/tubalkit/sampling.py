@@ -92,19 +92,19 @@ def check_observed(observed, omega):
     return observed
 
 
-def split(omega, t, seed):
-    """Partition Omega into t disjoint subsets, uniformly at random."""
+def split_labels(omega, t, seed):
+    """Subset label in [0, t) of every observed entry, in row-major order:
+    a uniformly random partition of Omega into t parts."""
     if t < 1:
         raise ValueError("need at least one subset")
-    trips = omega.triples()
-    assign = seed.rng().integers(0, t, size=len(trips))
-    subsets = []
-    for part in range(t):
-        mask = np.zeros(omega.dims, dtype=bool)
-        chosen = trips[assign == part]
-        mask[chosen[:, 0], chosen[:, 1], chosen[:, 2]] = True
-        subsets.append(SampleSet(*omega.dims, mask))
-    return subsets
+    return seed.rng().integers(0, t, size=omega.size)
+
+
+def split(omega, t, seed):
+    """Partition Omega into the t disjoint subsets that `split_labels` draws."""
+    labels = np.full(omega.dims, -1)
+    labels[omega.mask] = split_labels(omega, t, seed)
+    return [SampleSet(*omega.dims, labels == part) for part in range(t)]
 
 
 def synth_low_tubal_rank(m, n, k, r, seed):

@@ -9,6 +9,10 @@ j keeps the rows it observes.  The X update is the same kernel on
 horizontal slices i, with rows (j, kappa) holding
 y[j, s, (sigma - kappa) mod k].
 
+Every system reads its rows from one segment of one list of observed
+entries, np.flatnonzero of Omega's mask in (slice, row) layout; the median
+wrappers sort it once by the subset labels `sampling.split_labels` draws.
+
 Each slice system K z = b, with h observed rows and q = r*k unknowns, is
 solved by its row count.  A slice with h = 0 gets z = 0.  A slice with
 0 < h < q gets the minimum-norm z = K^T (K K^T)^+ b from the h x h row
@@ -26,7 +30,8 @@ import numpy as np
 
 from .algebra import _check3
 from .errors import DimensionMismatch
-from .sampling import project, split
+# project and split are not called here: perfbench hooks them by these names
+from .sampling import project, split, split_labels  # noqa: F401
 
 # A Gram is numerically singular when a Cholesky pivot is at most this
 # fraction of its own diagonal entry: Cholesky also succeeds on Grams whose
@@ -68,7 +73,7 @@ def _pinv_apply(gram, rhs):
     return (v @ np.where(keep, coef, 0.0)[..., None])[..., 0]
 
 
-def _solve_tall(rows, masks, values, count, sol):
+def _solve_tall(rows, pos, values, start, count, sol):
     # systems with at least q observed rows: per-slice Grams K^T K, batched
     # solves, and minimum-norm solutions where a Cholesky pivot says singular
     q = rows.shape[1]
@@ -79,16 +84,17 @@ def _solve_tall(rows, masks, values, count, sol):
         gram = np.empty((len(block), q, q))
         rhs = np.empty((len(block), q))
         for b, slot in enumerate(block):
-            kept = rows[masks[slot]]
+            seg = slice(start[slot], start[slot] + count[slot])
+            kept = rows[pos[seg]]
             gram[b] = kept.T @ kept
-            rhs[b] = values[slot % len(values), masks[slot]] @ kept
+            rhs[b] = values[seg] @ kept
         singular = _pivot_singular(gram)
         ok = ~singular
         sol[block[ok]] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]
         sol[block[singular]] = _pinv_apply(gram[singular], rhs[singular])
 
 
-def _solve_wide(rows, masks, values, count, sol):
+def _solve_wide(rows, pos, values, start, count, sol):
     # systems with 0 < h < q observed rows: the minimum-norm solution
     # K^T (K K^T)^+ b from the h x h row Grams.  Sorted by h, each block pads
     # its row lists to its largest h with an appended zero row of `rows`,
@@ -99,12 +105,13 @@ def _solve_wide(rows, masks, values, count, sol):
         return
     wide = wide[np.argsort(count[wide])]
     h = count[wide]
-    system, pos = np.nonzero(masks[wide])
-    rank = np.arange(len(system)) - np.repeat(np.cumsum(h) - h, h)
+    system = np.repeat(np.arange(len(wide)), h)
+    rank = np.arange(len(system)) - (np.cumsum(h) - h)[system]
+    entry = start[wide][system] + rank
     index = np.full((len(wide), h[-1]), len(rows))
-    index[system, rank] = pos
+    index[system, rank] = pos[entry]
     rhs = np.zeros(index.shape)
-    rhs[system, rank] = values[wide[system] % len(values), pos]
+    rhs[system, rank] = values[entry]
     rows = np.vstack([rows, np.zeros((1, q))])
     step = max(1, BLOCK_BYTES // (8 * h[-1] * q))
     for lo in range(0, len(wide), step):
@@ -114,56 +121,48 @@ def _solve_wide(rows, masks, values, count, sol):
         sol[wide[lo:hi]] = (coef[:, None, :] @ kept)[:, 0]
 
 
-def _solve_slices(rows, masks, values):
-    """Least-squares solutions z of rows[mask] @ z = value[mask] for every
-    slice mask, i.e. every trailing row of the (..., n, P) `masks`; slice j
-    of each leading index reads row j of the (n, P) `values`.  Returns
-    (..., n, q).  A singular slice gets the minimum-norm solution: zero when
-    it observes no row, K^T (K K^T)^+ b when it observes fewer rows than the
-    q unknowns."""
-    lead, (size, q) = masks.shape[:-1], rows.shape
-    masks = masks.reshape(-1, size)
-    count = masks.sum(axis=1)
-    sol = np.zeros((len(masks), q))
-    _solve_tall(rows, masks, values, count, sol)
-    _solve_wide(rows, masks, values, count, sol)
-    return sol.reshape(lead + (q,))
-
-
-def _slices(t, y_update):
-    # (..., m, n, k) -> (..., slices, rows): lateral slices j with rows
-    # (i, kappa) for the Y update, horizontal slices i with rows (j, kappa)
-    # for the X update
-    if y_update:
-        t = np.swapaxes(t, -3, -2)
-    return t.reshape(*t.shape[:-2], -1)
-
-
-def _half_step(observed, omega, factor, y_update, subsets):
-    # Solutions (len(subsets), slices, r, k), one per subset of omega.
+def _half_step(observed, omega, factor, y_update, labels=None, t=1):
+    """Solutions (t, slices, r, k) of every (subset, slice) system; Omega's
+    entries, in row-major order, fall in subsets `labels` (None: one)."""
     observed = _check3(observed)
     factor = _check3(factor)
+    if observed.shape != omega.dims:
+        raise DimensionMismatch(f"tensor {observed.shape} vs sample set {omega.dims}")
     name, axis = ("x", 0) if y_update else ("y", 1)
     if observed.shape[axis] != factor.shape[0] or observed.shape[2] != factor.shape[2]:
         raise DimensionMismatch(f"observed {observed.shape} vs {name} {factor.shape}")
-    sol = _solve_slices(
-        circulant_rows(factor, 1 if y_update else -1),
-        _slices(np.stack([sub.mask for sub in subsets]), y_update),
-        _slices(project(observed, omega), y_update),
-    )
-    return sol.reshape(sol.shape[:2] + factor.shape[1:])
+    # slices along axis 0, each slice's rows (i or j, kappa) flattened
+    layout = (lambda a: np.swapaxes(a, 0, 1)) if y_update else (lambda a: a)
+    mask = layout(omega.mask)
+    slices, size = mask.shape[0], mask[0].size
+    system, pos = np.divmod(np.flatnonzero(mask), size)
+    values = layout(observed)[mask]
+    if labels is not None:
+        # the stable sort keeps each system's rows ascending
+        subset = np.zeros(omega.dims, labels.dtype)
+        subset[omega.mask] = labels
+        system += layout(subset)[mask] * slices
+        order = np.argsort(system, kind="stable")
+        pos, values = pos[order], values[order]
+    count = np.bincount(system, minlength=t * slices)
+    rows = circulant_rows(factor, 1 if y_update else -1)
+    sol = np.zeros((len(count), rows.shape[1]))
+    args = (rows, pos, values, np.cumsum(count) - count, count, sol)
+    _solve_tall(*args)
+    _solve_wide(*args)
+    return sol.reshape((t, slices) + factor.shape[1:])
 
 
 def ls_solve_y(observed, omega, x):
     """Minimize ||P_Omega(T - X * Y^dag)||_F^2 over Y (n, r, k); entries of
     `observed` outside Omega are ignored."""
-    return _half_step(observed, omega, x, True, [omega])[0]
+    return _half_step(observed, omega, x, True)[0]
 
 
 def ls_solve_x(observed, omega, y):
     """Minimize ||P_Omega(T - X * Y^dag)||_F^2 over X (m, r, k): the same
     kernel over horizontal slices, with circulant rows of y at sign -1."""
-    return _half_step(observed, omega, y, False, [omega])[0]
+    return _half_step(observed, omega, y, False)[0]
 
 
 def median_count(n):
@@ -174,12 +173,12 @@ def median_count(n):
 def median_ls(observed, omega, x, seed, t=None):
     """Element-wise median of per-subset Y solutions over a split of Omega."""
     t = t if t is not None else median_count(observed.shape[1])
-    sols = _half_step(observed, omega, x, True, split(omega, t, seed))
+    sols = _half_step(observed, omega, x, True, split_labels(omega, t, seed), t)
     return np.median(sols, axis=0)
 
 
 def median_ls_x(observed, omega, y, seed, t=None):
     """Median wrapper for the transposed X update."""
     t = t if t is not None else median_count(observed.shape[0])
-    sols = _half_step(observed, omega, y, False, split(omega, t, seed))
+    sols = _half_step(observed, omega, y, False, split_labels(omega, t, seed), t)
     return np.median(sols, axis=0)

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from tubalkit import altmin
 from tubalkit.algebra import circ_expand, frobenius_norm, tprod, ttranspose
 from tubalkit.altmin import qr_tensor
 from tubalkit.errors import DimensionMismatch
@@ -10,14 +13,19 @@ from tubalkit.sampling import (
     project,
     sample_bernoulli,
     split,
+    split_labels,
     synth_low_tubal_rank,
 )
 from tubalkit.tls import (
+    BLOCK_BYTES,
+    _pinv_apply,
+    _pivot_singular,
     circulant_rows,
     ls_solve_x,
     ls_solve_y,
     median_count,
     median_ls,
+    median_ls_x,
 )
 
 
@@ -569,3 +577,196 @@ def test_dimension_mismatch_errors():
         ls_solve_y(t, omega, np.zeros((5, 2, 3)))
     with pytest.raises(DimensionMismatch):
         ls_solve_x(t, omega, np.zeros((4, 2, 4)))
+
+
+def dense_solve_tall(rows, masks, values, count, sol):
+    q = rows.shape[1]
+    tall = np.flatnonzero(count >= q)
+    step = max(1, BLOCK_BYTES // (8 * q * q))
+    for lo in range(0, len(tall), step):
+        block = tall[lo : lo + step]
+        gram = np.empty((len(block), q, q))
+        rhs = np.empty((len(block), q))
+        for b, slot in enumerate(block):
+            kept = rows[masks[slot]]
+            gram[b] = kept.T @ kept
+            rhs[b] = values[slot % len(values), masks[slot]] @ kept
+        singular = _pivot_singular(gram)
+        ok = ~singular
+        sol[block[ok]] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]
+        sol[block[singular]] = _pinv_apply(gram[singular], rhs[singular])
+
+
+def dense_solve_wide(rows, masks, values, count, sol):
+    q = rows.shape[1]
+    wide = np.flatnonzero((count > 0) & (count < q))
+    if not len(wide):
+        return
+    wide = wide[np.argsort(count[wide])]
+    h = count[wide]
+    system, pos = np.nonzero(masks[wide])
+    rank = np.arange(len(system)) - np.repeat(np.cumsum(h) - h, h)
+    index = np.full((len(wide), h[-1]), len(rows))
+    index[system, rank] = pos
+    rhs = np.zeros(index.shape)
+    rhs[system, rank] = values[wide[system] % len(values), pos]
+    rows = np.vstack([rows, np.zeros((1, q))])
+    step = max(1, BLOCK_BYTES // (8 * h[-1] * q))
+    for lo in range(0, len(wide), step):
+        hi = min(lo + step, len(wide))
+        kept = rows[index[lo:hi, : h[hi - 1]]]
+        coef = _pinv_apply(kept @ kept.transpose(0, 2, 1), rhs[lo:hi, : h[hi - 1]])
+        sol[wide[lo:hi]] = (coef[:, None, :] @ kept)[:, 0]
+
+
+def dense_mask_half_step(observed, omega, factor, y_update, subsets):
+    """Solutions (len(subsets), slices, r, k) assembled from a stack of
+    dense subset masks, one boolean row scan per system.
+
+    Test oracle only: the solver reads the same systems, in the same order
+    and with the same padded blocks, from a sorted list of observed entries,
+    so the two must agree bit for bit.
+    """
+
+    def slices(t):
+        # (..., m, n, k) -> (..., slices, rows)
+        if y_update:
+            t = np.swapaxes(t, -3, -2)
+        return t.reshape(*t.shape[:-2], -1)
+
+    rows = circulant_rows(factor, 1 if y_update else -1)
+    masks = slices(np.stack([sub.mask for sub in subsets]))
+    values = slices(project(observed, omega))
+    lead, size = masks.shape[:-1], masks.shape[-1]
+    masks = masks.reshape(-1, size)
+    count = masks.sum(axis=1)
+    sol = np.zeros((len(masks), rows.shape[1]))
+    dense_solve_tall(rows, masks, values, count, sol)
+    dense_solve_wide(rows, masks, values, count, sol)
+    return sol.reshape(lead + factor.shape[1:])
+
+
+def dense_median(observed, omega, factor, seed, t, y_update):
+    sols = dense_mask_half_step(observed, omega, factor, y_update, split(omega, t, seed))
+    return np.median(sols, axis=0)
+
+
+@pytest.mark.parametrize("t", [1, 3, 17])
+@pytest.mark.parametrize(
+    "m, n, k, p",
+    [(24, 17, 4, 0.9), (17, 24, 5, 0.5), (30, 21, 6, 0.08), (9, 40, 1, 0.3)],
+)
+def test_entry_lists_match_dense_mask_oracle(m, n, k, p, t):
+    # dense and sparse Omega, m != n, one to many median subsets: every
+    # system route (empty, wide, tall, singular) in one call
+    rng = np.random.default_rng(m * n * k)
+    omega = sample_bernoulli(m, n, k, p, RngSeed(t, f"dense-{m}-{n}"))
+    observed = project(rng.standard_normal((m, n, k)), omega)
+    x = rng.standard_normal((m, 3, k))
+    y = rng.standard_normal((n, 3, k))
+    x[:, 2] = x[:, 1]  # rank-deficient factors reach the singular route
+    seed = RngSeed(t, "dense-split")
+    got_y = ls_solve_y(observed, omega, x)
+    got_x = ls_solve_x(observed, omega, y)
+    assert np.array_equal(got_y, dense_mask_half_step(observed, omega, x, True, [omega])[0])
+    assert np.array_equal(got_x, dense_mask_half_step(observed, omega, y, False, [omega])[0])
+    med_y = median_ls(observed, omega, x, seed, t=t)
+    med_x = median_ls_x(observed, omega, y, seed, t=t)
+    assert np.array_equal(med_y, dense_median(observed, omega, x, seed, t, True))
+    assert np.array_equal(med_x, dense_median(observed, omega, y, seed, t, False))
+
+
+@pytest.mark.parametrize("t", [None, 3])
+def test_full_variant_trace_matches_dense_mask_oracle(monkeypatch, t):
+    # at the default subset count the median is the zero tensor from the
+    # second step on (ROADMAP item 4); with 3 subsets the estimate is not
+    truth, _ = synth_low_tubal_rank(30, 20, 6, 3, RngSeed(40, "trace"))
+    omega = sample_bernoulli(30, 20, 6, 0.8, RngSeed(40, "trace-mask"))
+    observed = project(truth, omega)
+    cfg = altmin.SolverConfig(
+        target_rank=3, variant="full", iterations=4, seed=RngSeed(40, "trace-run")
+    )
+
+    def run(y_solver, x_solver):
+        monkeypatch.setattr(altmin, "median_ls", y_solver)
+        monkeypatch.setattr(altmin, "median_ls_x", x_solver)
+        return altmin.tubal_alt_min(observed, omega, cfg, ground_truth=truth)
+
+    def oracle(y_update):
+        def median(observed, omega, factor, seed):
+            count = t or median_count(observed.shape[1 if y_update else 0])
+            return dense_median(observed, omega, factor, seed, count, y_update)
+
+        return median
+
+    got = run(
+        lambda *args: median_ls(*args, t=t), lambda *args: median_ls_x(*args, t=t)
+    )
+    ref = run(oracle(True), oracle(False))
+    assert len(got.rse) == 4
+    assert got.rse == ref.rse
+    assert np.array_equal(got.estimate, ref.estimate)
+    if t:
+        assert np.any(got.estimate != 0.0)
+
+
+@pytest.mark.parametrize("t", [1, 3, 17])
+def test_split_is_the_partition_split_labels_draws(t):
+    omega = sample_bernoulli(11, 7, 3, 0.6, RngSeed(t, "labels"))
+    seed = RngSeed(t, "labels-split")
+    labels = split_labels(omega, t, seed)
+    assert labels.shape == (omega.size,) and labels.min() >= 0 and labels.max() < t
+    parts = split(omega, t, seed)
+    assert len(parts) == t
+    for s, part in enumerate(parts):
+        expected = np.zeros(omega.dims, dtype=bool)
+        expected[tuple(omega.triples()[labels == s].T)] = True
+        assert np.array_equal(part.mask, expected)
+
+
+def test_split_labels_rejects_zero_subsets():
+    with pytest.raises(ValueError):
+        split_labels(full_set(2, 2, 2), 0, RngSeed(0))
+
+
+def edge_omegas():
+    # empty slices in both directions, fewer entries than subsets, none
+    rng = np.random.default_rng(41)
+    holes = rng.random((8, 6, 3)) < 0.7
+    holes[:, 2, :] = False
+    holes[5, :, :] = False
+    few = np.zeros((8, 6, 3), dtype=bool)
+    few[[0, 3, 7], [1, 1, 4], [0, 2, 1]] = True
+    none = np.zeros((8, 6, 3), dtype=bool)
+    return {"holes": holes, "few": few, "none": none}
+
+
+@pytest.mark.parametrize("case, t", [("holes", 3), ("few", 17), ("none", 17)])
+def test_edge_case_omegas_give_exact_zeros_without_warnings(case, t):
+    omega = SampleSet(8, 6, 3, edge_omegas()[case])
+    rng = np.random.default_rng(42)
+    observed = project(rng.standard_normal((8, 6, 3)), omega)
+    x = rng.standard_normal((8, 2, 3))
+    y = rng.standard_normal((6, 2, 3))
+    seed = RngSeed(42, "edge")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = {
+            "ls_y": ls_solve_y(observed, omega, x),
+            "ls_x": ls_solve_x(observed, omega, y),
+            "med_y": median_ls(observed, omega, x, seed, t=t),
+            "med_x": median_ls_x(observed, omega, y, seed, t=t),
+        }
+    if case == "holes":
+        # the empty lateral slice 2 and horizontal slice 5
+        for name in ("ls_y", "med_y"):
+            assert np.all(results[name][2] == 0.0) and np.any(results[name] != 0.0)
+        for name in ("ls_x", "med_x"):
+            assert np.all(results[name][5] == 0.0) and np.any(results[name] != 0.0)
+    else:
+        # at most 3 of the 17 subsets observe anything, so the medians are
+        # zero; with no entry at all, so are the plain solves
+        assert omega.size < t
+        assert np.all(results["med_y"] == 0.0) and np.all(results["med_x"] == 0.0)
+        if case == "none":
+            assert np.all(results["ls_y"] == 0.0) and np.all(results["ls_x"] == 0.0)
