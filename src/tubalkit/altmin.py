@@ -1,11 +1,12 @@
 """Alternating-minimization completion solver and its supporting pieces.
 
-Two variants:
-  * "simplified" - random orthonormal start, then plain alternating tensor
-    least squares on the full observation set each round;
-  * "full" - sample splitting, spectral initialization with tube
-    truncation, median-of-splits least squares, and coherence-controlled
-    re-orthonormalization (smooth QR) after each half-step.
+`tubal_alt_min` runs one loop for both variants, which differ only in:
+  * "simplified" - random orthonormal start, plain tensor least squares on
+    all of Omega every round, no re-orthonormalization;
+  * "full" - spectral initialization with tube truncation on a split-off
+    half of Omega, median-of-splits least squares on a fresh part of the
+    other half every round, and coherence-controlled re-orthonormalization
+    (smooth QR) after each half-step.
 """
 
 import math
@@ -198,29 +199,36 @@ def _stalled(trace, window, tol):
 
 
 def tubal_alt_min(observed, omega, cfg, ground_truth=None):
-    """Run the configured solver variant and return its SolveReport."""
+    """Run the configured solver variant and return its SolveReport.
+
+    One loop serves both variants: per part of the samples, solve for Y,
+    re-orthonormalize it, solve for X, record the error of x_raw * y^T,
+    re-orthonormalize X, then check `cfg.stop_rse` and the stall rule.
+    The variant picks, before the loop, the start (random orthonormal X, or
+    `initialize` on half of Omega), the parts (Omega every round, or
+    disjoint parts of the other half), the half-steps (`ls_solve_y`/`_x`,
+    or `median_ls`/`median_ls_x`) and the re-orthonormalization (none, or
+    `smooth_qr`).  The report's x and y give the estimate as x * y^T; for
+    the full variant x is the last X before smooth QR.
+    """
     observed = check_observed(observed, omega)
     m, n, k = observed.shape
     r = cfg.target_rank
-    rse_trace = []
-    seconds = []
     start = time.perf_counter()
 
     if cfg.variant == "simplified":
-        rng = cfg.seed.derive("x0").rng()
-        x, _ = qr_tensor(rng.standard_normal((m, r, k)))
-        for _ in range(cfg.iterations):
-            y = ls_solve_y(observed, omega, x)
-            x = ls_solve_x(observed, omega, y)
-            estimate = tprod(x, ttranspose(y))
-            value = trace_error(estimate, observed, omega, ground_truth)
-            rse_trace.append(value)
-            seconds.append(time.perf_counter() - start)
-            if cfg.stop_rse is not None and value <= cfg.stop_rse:
-                break
-            if _stalled(rse_trace, cfg.stall_window, cfg.stall_tol):
-                break
-        final_x, final_y = x, y
+        x, _ = qr_tensor(cfg.seed.derive("x0").rng().standard_normal((m, r, k)))
+        parts = [omega] * cfg.iterations
+
+        def solve_y(part, x, seed):
+            return ls_solve_y(observed, part, x)
+
+        def solve_x(part, y, seed):
+            return ls_solve_x(observed, part, y)
+
+        def reorth(z, seed):
+            return z
+
     else:
         omega0, omega_plus = split(omega, 2, cfg.seed.derive("split-init"))
         parts = split(omega_plus, cfg.iterations, cfg.seed.derive("split-iters"))
@@ -229,26 +237,31 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
         x = initialize(
             project(observed, omega0), omega0, r, cfg.coherence_budget, cfg.seed
         )
-        for step, part in enumerate(parts):
-            sub_observed = project(observed, part)
-            seed_step = cfg.seed.derive(f"iter{step}")
-            y_raw = median_ls(sub_observed, part, x, seed_step.derive("y"))
-            y, _ = smooth_qr(
-                y_raw, cfg.epsilon, cfg.coherence_budget, seed_step.derive("qy")
-            )
-            x_raw = median_ls_x(sub_observed, part, y, seed_step.derive("x"))
-            estimate = tprod(x_raw, ttranspose(y))
-            value = trace_error(estimate, observed, omega, ground_truth)
-            rse_trace.append(value)
-            seconds.append(time.perf_counter() - start)
-            final_x, final_y = x_raw, y
-            x, _ = smooth_qr(
-                x_raw, cfg.epsilon, cfg.coherence_budget, seed_step.derive("qx")
-            )
-            if cfg.stop_rse is not None and value <= cfg.stop_rse:
-                break
-            if _stalled(rse_trace, cfg.stall_window, cfg.stall_tol):
-                break
+
+        def solve_y(part, x, seed):
+            return median_ls(observed, part, x, seed)
+
+        def solve_x(part, y, seed):
+            return median_ls_x(observed, part, y, seed)
+
+        def reorth(z, seed):
+            return smooth_qr(z, cfg.epsilon, cfg.coherence_budget, seed)[0]
+
+    rse_trace = []
+    seconds = []
+    for step, part in enumerate(parts):
+        seed = cfg.seed.derive(f"iter{step}")
+        y = reorth(solve_y(part, x, seed.derive("y")), seed.derive("qy"))
+        x_raw = solve_x(part, y, seed.derive("x"))
+        estimate = tprod(x_raw, ttranspose(y))
+        value = trace_error(estimate, observed, omega, ground_truth)
+        rse_trace.append(value)
+        seconds.append(time.perf_counter() - start)
+        x = reorth(x_raw, seed.derive("qx"))
+        if cfg.stop_rse is not None and value <= cfg.stop_rse:
+            break
+        if _stalled(rse_trace, cfg.stall_window, cfg.stall_tol):
+            break
 
     slope, intercept = fit_line(rse_trace)
     return SolveReport(
@@ -256,8 +269,8 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
         seconds=seconds,
         slope=slope,
         intercept=intercept,
-        x=final_x,
-        y=final_y,
+        x=x_raw,
+        y=y,
         rse_is_training=ground_truth is None,
         estimate=estimate,
     )

@@ -13,7 +13,6 @@ import json
 import os
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -117,20 +116,11 @@ class TraceRow:
         ]
 
 
-def _worker_count():
-    raw = os.environ.get("TUBAL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def write_rows(path, rows):
+def write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.as_list())
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _solver_config(spec, algo, run_seed):
@@ -196,38 +186,29 @@ def _instance(spec, rate, rep):
 
 def run_recovery_sweep(spec):
     """Final RSE per (algorithm, rate, repetition) plus per-rate means."""
-    tasks = [(rate, rep) for rate in spec.rates for rep in range(spec.repetitions)]
-
-    def one(task):
-        rate, rep = task
-        truth, observed, omega, base = _instance(spec, rate, rep)
-        rows = []
-        for algo in spec.algorithms:
-            start = time.perf_counter()
-            try:
-                report = run_algorithm(
-                    spec, algo, observed, omega, truth, base.derive(algo)
-                )
-                final = report.rse[-1]
-                elapsed = report.seconds[-1]
-                iters = report.path_iterations or len(report.rse)
-            except TubalError:
-                final = float("nan")
-                elapsed = time.perf_counter() - start
-                iters = 0
-            rows.append(TraceRow(algo, rate, rep, iters, final, elapsed))
-        return rows
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(one, tasks))
-    else:
-        chunks = [one(task) for task in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = []
+    for rate in spec.rates:
+        for rep in range(spec.repetitions):
+            truth, observed, omega, base = _instance(spec, rate, rep)
+            for algo in spec.algorithms:
+                start = time.perf_counter()
+                try:
+                    report = run_algorithm(
+                        spec, algo, observed, omega, truth, base.derive(algo)
+                    )
+                    final = report.rse[-1]
+                    elapsed = report.seconds[-1]
+                    iters = report.path_iterations or len(report.rse)
+                except TubalError:
+                    final = float("nan")
+                    elapsed = time.perf_counter() - start
+                    iters = 0
+                rows.append(TraceRow(algo, rate, rep, iters, final, elapsed))
 
     os.makedirs(spec.out_dir, exist_ok=True)
-    write_rows(os.path.join(spec.out_dir, "sweep.csv"), rows)
+    write_csv(
+        os.path.join(spec.out_dir, "sweep.csv"), CSV_HEADER, [r.as_list() for r in rows]
+    )
     means = {}
     for algo in spec.algorithms:
         for rate in spec.rates:
@@ -238,11 +219,11 @@ def run_recovery_sweep(spec):
             ]
             # nan, without numpy's empty-mean warning, when every run failed
             means[(algo, rate)] = float(np.mean(values)) if values else float("nan")
-    with open(os.path.join(spec.out_dir, "sweep_summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "rate", "mean_rse"])
-        for (algo, rate), mean in sorted(means.items()):
-            writer.writerow([algo, repr(rate), repr(mean)])
+    write_csv(
+        os.path.join(spec.out_dir, "sweep_summary.csv"),
+        ["algorithm", "rate", "mean_rse"],
+        [[algo, repr(rate), repr(mean)] for (algo, rate), mean in sorted(means.items())],
+    )
     return rows, means
 
 
@@ -262,12 +243,14 @@ def run_convergence(spec):
             if rep == 0:
                 slopes[algo] = (report.slope, report.intercept)
     os.makedirs(spec.out_dir, exist_ok=True)
-    write_rows(os.path.join(spec.out_dir, "converge.csv"), rows)
-    with open(os.path.join(spec.out_dir, "converge_slopes.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "slope", "intercept"])
-        for algo, (slope, intercept) in slopes.items():
-            writer.writerow([algo, repr(slope), repr(intercept)])
+    write_csv(
+        os.path.join(spec.out_dir, "converge.csv"), CSV_HEADER, [r.as_list() for r in rows]
+    )
+    write_csv(
+        os.path.join(spec.out_dir, "converge_slopes.csv"),
+        ["algorithm", "slope", "intercept"],
+        [[algo, repr(slope), repr(icpt)] for algo, (slope, icpt) in slopes.items()],
+    )
     return rows, slopes
 
 
@@ -296,11 +279,11 @@ def run_runtime_scaling(spec):
             else:
                 results.append((algo, size, report.seconds[-1], False))
     os.makedirs(spec.out_dir, exist_ok=True)
-    with open(os.path.join(spec.out_dir, "scale.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "size", "seconds", "reached"])
-        for algo, size, secs, reached in results:
-            writer.writerow([algo, size, repr(secs), int(reached)])
+    write_csv(
+        os.path.join(spec.out_dir, "scale.csv"),
+        ["algorithm", "size", "seconds", "reached"],
+        [[algo, size, repr(secs), int(hit)] for algo, size, secs, hit in results],
+    )
     return results
 
 

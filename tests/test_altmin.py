@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from tubalkit.algebra import (
     tprod,
     ttranspose,
 )
+from tubalkit import altmin
 from tubalkit.altmin import (
     SolverConfig,
     fit_convergence,
@@ -237,6 +240,9 @@ def test_solver_determinism():
         assert r1.rse == r2.rse
         assert np.array_equal(r1.x, r2.x)
         assert np.array_equal(r1.y, r2.y)
+        assert np.array_equal(r1.estimate, tprod(r1.x, ttranspose(r1.y)))
+        assert len(r1.seconds) == len(r1.rse)
+        assert all(b >= a for a, b in zip(r1.seconds, r1.seconds[1:]))
 
 
 def test_full_variant_insufficient_samples():
@@ -277,6 +283,38 @@ def test_stop_rse_early_exit():
     report = tubal_alt_min(t, omega, cfg, ground_truth=t)
     assert len(report.rse) < 10
     assert report.rse[-1] <= 1e-6
+
+
+@pytest.mark.parametrize("variant", ["simplified", "full"])
+def test_stop_rules_end_the_loop(variant, monkeypatch):
+    # the full variant smooth-QRs Y and X in every iteration, the last included
+    reorths = []
+
+    def counted(*args):
+        reorths.append(args)
+        return smooth_qr(*args)
+
+    monkeypatch.setattr(altmin, "smooth_qr", counted)
+    t, _ = synth_low_tubal_rank(15, 15, 3, 2, RngSeed(18, "rules"))
+    omega = sample_bernoulli(15, 15, 3, 0.8, RngSeed(18, "rules-mask"))
+    observed = project(t, omega)
+    cfg = SolverConfig(
+        target_rank=2,
+        iterations=6,
+        variant=variant,
+        seed=RngSeed(18, "rules-run"),
+        stall_tol=0.0,  # never stalls
+    )
+    free = tubal_alt_min(observed, omega, cfg, ground_truth=t)
+    assert len(free.rse) == 6
+    stall = replace(cfg, stall_window=2, stall_tol=2 * max(free.rse))
+    stalled = tubal_alt_min(observed, omega, stall, ground_truth=t)
+    assert stalled.rse == free.rse[:3]
+    stop = replace(cfg, stop_rse=2 * free.rse[0])
+    stopped = tubal_alt_min(observed, omega, stop, ground_truth=t)
+    assert stopped.rse == free.rse[:1]
+    per_iteration = 2 if variant == "full" else 0
+    assert len(reorths) == per_iteration * (6 + 3 + 1)
 
 
 def gap_instance(n, k, r, gap):

@@ -156,15 +156,6 @@ def test_recovery_sweep_deterministic(tmp_path):
     )
 
 
-def test_recovery_sweep_threaded_matches_serial(tmp_path, monkeypatch):
-    spec1 = tiny_spec(tmp_path / "ser", rates=[0.9, 0.7])
-    rows1, _ = run_recovery_sweep(spec1)
-    monkeypatch.setenv("TUBAL_THREADS", "4")
-    spec2 = tiny_spec(tmp_path / "par", rates=[0.9, 0.7])
-    rows2, _ = run_recovery_sweep(spec2)
-    assert drop_seconds(rows1) == drop_seconds(rows2)
-
-
 def test_recovery_sweep_iter_counts_whole_admm_path(tmp_path, monkeypatch):
     reports = []
 
@@ -172,7 +163,6 @@ def test_recovery_sweep_iter_counts_whole_admm_path(tmp_path, monkeypatch):
         reports.append(tnn_admm.admm_complete(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.delenv("TUBAL_THREADS", raising=False)
     monkeypatch.setattr(harness, "admm_complete", recorded)
     spec = tiny_spec(tmp_path, rates=[0.9, 0.7], algorithms=("tnn-admm",))
     rows, _ = run_recovery_sweep(spec)
