@@ -61,7 +61,7 @@ def _spec(args):
         repetitions=args.reps,
         out_dir=args.out,
         threshold=args.threshold,
-        sizes=getattr(args, "sizes", None) or [25, 50, 75, 100],
+        sizes=getattr(args, "sizes", []),
     )
 
 
@@ -84,7 +84,7 @@ def build_parser():
     scale.add_argument(
         "--sizes",
         type=lambda s: [int(v) for v in s.split(",")],
-        default=None,
+        default=[25, 50, 75, 100],
         help="csv list of square sizes, default 25,50,75,100",
     )
 
@@ -101,9 +101,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "gen":
-            m, n, k = args.size
+            spec = _spec(args)
             tensor, _ = synth_low_tubal_rank(
-                m, n, k, args.rank, RngSeed(args.seed, "gen")
+                spec.m, spec.n, spec.k, spec.rank, RngSeed(args.seed, "gen")
             )
             harness.write_tensor(args.file, tensor)
         elif args.command == "sweep":

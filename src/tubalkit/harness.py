@@ -87,6 +87,12 @@ class ExperimentSpec:
     sizes: list = field(default_factory=lambda: [25, 50, 75, 100])
 
     def __post_init__(self):
+        if min(self.m, self.n, self.k) < 1:
+            raise ValueError(f"size m,n,k = {self.m},{self.n},{self.k} must be >= 1")
+        if not 1 <= self.rank <= min(self.m, self.n):
+            raise ValueError(f"rank {self.rank} outside [1, {min(self.m, self.n)}]")
+        if any(size < self.rank for size in self.sizes):
+            raise ValueError(f"sizes {self.sizes} must all be >= rank {self.rank}")
         if any(not 0 < rate <= 1 for rate in self.rates):
             raise ValueError("sampling rates must lie in (0, 1]")
         if self.repetitions < 1:

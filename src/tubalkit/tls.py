@@ -83,12 +83,14 @@ def _solve_tall(rows, pos, values, start, count, sol):
         block = tall[lo : lo + step]
         gram = np.empty((len(block), q, q))
         rhs = np.empty((len(block), q))
-        for b, slot in enumerate(block):
-            seg = slice(start[slot], start[slot] + count[slot])
-            kept = rows[pos[seg]]
-            gram[b] = kept.T @ kept
-            rhs[b] = values[seg] @ kept
+        for b, (a, h) in enumerate(zip(start[block].tolist(), count[block].tolist())):
+            kept = rows.take(pos[a : a + h], axis=0)
+            np.dot(kept.T, kept, out=gram[b])
+            np.dot(values[a : a + h], kept, out=rhs[b])
         singular = _pivot_singular(gram)
+        if not singular.any():
+            sol[block] = np.linalg.solve(gram, rhs[..., None])[..., 0]
+            continue
         ok = ~singular
         sol[block[ok]] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]
         sol[block[singular]] = _pinv_apply(gram[singular], rhs[singular])
@@ -135,13 +137,14 @@ def _half_step(observed, omega, factor, y_update, labels=None, t=1):
     layout = (lambda a: np.swapaxes(a, 0, 1)) if y_update else (lambda a: a)
     mask = layout(omega.mask)
     slices, size = mask.shape[0], mask[0].size
-    system, pos = np.divmod(np.flatnonzero(mask), size)
-    values = layout(observed)[mask]
+    entry = np.flatnonzero(mask)
+    system, pos = np.divmod(entry, size)
+    values = layout(observed).take(entry)
     if labels is not None:
         # the stable sort keeps each system's rows ascending
         subset = np.zeros(omega.dims, labels.dtype)
         subset[omega.mask] = labels
-        system += layout(subset)[mask] * slices
+        system += layout(subset).take(entry) * slices
         order = np.argsort(system, kind="stable")
         pos, values = pos[order], values[order]
     count = np.bincount(system, minlength=t * slices)

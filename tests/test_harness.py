@@ -372,6 +372,25 @@ def test_cli_exit_codes(tmp_path):
         assert malformed == 3
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["gen", "--size", "0,5,5"], "size m,n,k"),
+        (["gen", "--rank", "0"], "rank"),
+        (["sweep", "--size", "8,8,2", "--rank", "9"], "rank"),
+        (["sweep", "--size", "5,5,0"], "size m,n,k"),
+        (["scale", "--size", "8,8,2", "--rank", "3", "--sizes", "2,8"], "sizes"),
+    ],
+    ids=["gen-size", "gen-rank", "sweep-rank", "sweep-empty-tube", "scale-sizes"],
+)
+def test_cli_bad_size_or_rank_exits_2(tmp_path, capsys, argv, named):
+    # rejected when the spec is built, before any tensor is drawn or written
+    extra = ["--file", str(tmp_path / "x.t3b")] if argv[0] == "gen" else []
+    assert cli.main([*argv, *extra, "--out", str(tmp_path)]) == 2
+    assert f"bad argument: {named}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_admm_path_seconds_include_earlier_runs(tmp_path, monkeypatch):
     durations = []
     reports = []

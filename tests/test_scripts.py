@@ -1,0 +1,35 @@
+"""scripts/gram_conditioning.py rebuilds the solver's slice Grams from
+tls.circulant_rows.  Running it on a tiny instance in the fast suite keeps
+it from drifting away from the solver unnoticed."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from tubalkit.sampling import RngSeed, project, sample_bernoulli
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "gram_conditioning.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("gram_conditioning", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_gram_conditioning_on_a_tiny_instance(monkeypatch):
+    # the script puts src/ and perfbench/ on sys.path when it is loaded
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    script = load_script()
+    rng = np.random.default_rng(44)
+    omega = sample_bernoulli(6, 5, 3, 0.8, RngSeed(44, "conditioning"))
+    observed = project(rng.standard_normal((6, 5, 3)), omega)
+    x = rng.standard_normal((6, 2, 3))
+    y = rng.standard_normal((5, 2, 3))
+    for factor, y_update, slices in ((x, True, 5), (y, False, 6)):
+        conds = script.gram_conditions(observed, omega, factor, y_update)
+        assert conds.shape == (slices,)
+        assert np.all(np.isfinite(conds)) and np.all(conds >= 1)

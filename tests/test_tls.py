@@ -676,6 +676,30 @@ def test_entry_lists_match_dense_mask_oracle(m, n, k, p, t):
     assert np.array_equal(med_x, dense_median(observed, omega, y, seed, t, False))
 
 
+def test_block_mixing_singular_and_regular_tall_slices():
+    # Rows i < 10 of x repeat their first column, so a lateral slice that
+    # observes only those rows has a singular Gram (rank k < r*k) although
+    # it is tall (30 rows, 6 unknowns).  The other slices observe every
+    # entry.  All eight systems fall in one block, which must split them.
+    m, n, k = 20, 8, 3
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((m, 2, k))
+    x[:10, 1] = x[:10, 0]
+    mask = np.ones((m, n, k), dtype=bool)
+    mask[10:, [1, 4, 6], :] = False
+    omega = SampleSet(m, n, k, mask)
+    observed = project(rng.standard_normal((m, n, k)), omega)
+    rows = circulant_rows(x, 1)
+    q = rows.shape[1]
+    assert n <= BLOCK_BYTES // (8 * q * q)
+    slices = mask.transpose(1, 0, 2).reshape(n, -1)
+    grams = np.stack([rows[sl].T @ rows[sl] for sl in slices])
+    assert list(np.flatnonzero(_pivot_singular(grams))) == [1, 4, 6]
+    got = ls_solve_y(observed, omega, x)
+    assert np.array_equal(got, dense_mask_half_step(observed, omega, x, True, [omega])[0])
+    assert_close(got, freq_oracle_y(observed, omega, x))
+
+
 @pytest.mark.parametrize("t", [None, 3])
 def test_full_variant_trace_matches_dense_mask_oracle(monkeypatch, t):
     # at the default subset count the median is the zero tensor from the
