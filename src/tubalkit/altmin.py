@@ -35,8 +35,10 @@ from .errors import (
     ZeroTruth,
 )
 from .sampling import RngSeed, check_observed, project, split
-from .tls import ls_solve_x, ls_solve_y, median_ls, median_ls_x
+from .tls import _Plan, ls_solve_x, ls_solve_y, median_ls, median_ls_x
 from .tsvd import top_r_eigenslices
+
+STALL_TOL = 1e-12  # a stall: the error moved less over `stall_window` steps
 
 
 @dataclass
@@ -49,7 +51,6 @@ class SolverConfig:
     seed: RngSeed = field(default_factory=lambda: RngSeed(0, "altmin"))
     stop_rse: float | None = None
     stall_window: int = 3
-    stall_tol: float = 1e-12
 
     def __post_init__(self):
         if self.target_rank < 1:
@@ -192,12 +193,6 @@ def smooth_qr(y, eps, mu, seed):
     return z, sigma_used
 
 
-def _stalled(trace, window, tol):
-    if len(trace) <= window:
-        return False
-    return abs(trace[-1 - window] - trace[-1]) < tol
-
-
 def tubal_alt_min(observed, omega, cfg, ground_truth=None):
     """Run the configured solver variant and return its SolveReport.
 
@@ -219,12 +214,14 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
     if cfg.variant == "simplified":
         x, _ = qr_tensor(cfg.seed.derive("x0").rng().standard_normal((m, r, k)))
         parts = [omega] * cfg.iterations
+        # Omega is the same in every half-step: one least-squares plan each
+        y_plan, x_plan = (_Plan(observed, omega, r * k, up) for up in (True, False))
 
         def solve_y(part, x, seed):
-            return ls_solve_y(observed, part, x)
+            return ls_solve_y(observed, part, x, plan=y_plan)
 
         def solve_x(part, y, seed):
-            return ls_solve_x(observed, part, y)
+            return ls_solve_x(observed, part, y, plan=x_plan)
 
         def reorth(z, seed):
             return z
@@ -260,7 +257,8 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
         x = reorth(x_raw, seed.derive("qx"))
         if cfg.stop_rse is not None and value <= cfg.stop_rse:
             break
-        if _stalled(rse_trace, cfg.stall_window, cfg.stall_tol):
+        window = cfg.stall_window
+        if len(rse_trace) > window and abs(rse_trace[-1 - window] - value) < STALL_TOL:
             break
 
     slope, intercept = fit_line(rse_trace)

@@ -21,6 +21,8 @@ from .altmin import SolverConfig, trace_error, tubal_alt_min
 from .errors import (
     BadMagic,
     DimOverflow,
+    FileFormatError,
+    InsufficientSamples,
     SolverBreakdown,
     TruncatedFile,
     TubalError,
@@ -157,6 +159,8 @@ def run_algorithm(spec, algo, observed, omega, truth, run_seed):
             return tubal_alt_min(observed, omega, cfg, ground_truth=truth)
         if spec.lam is not None:
             lams, state = [spec.lam], None
+        elif not np.any(project(observed, omega)):  # every grid lambda would be 0
+            raise InsufficientSamples("no nonzero observation to scale the lambda grid")
         else:  # the top lambda's optimum: z = 0 with multiplier q = P_Omega Y
             lams = lambda_grid(observed)[::-1]
             state = (np.zeros_like(observed), observed)
@@ -303,6 +307,8 @@ def complete_file(input_path, mask_path, rate, algorithm, spec, output_path):
     m, n, k = t.shape
     if mask_path is not None:
         omega = read_sample_set(mask_path)
+        if omega.dims != t.shape:
+            raise FileFormatError(f"sample set {omega.dims} vs tensor {t.shape}")
     else:
         omega = sample_bernoulli(m, n, k, rate, RngSeed(spec.seed, "complete/omega"))
     observed = project(t, omega)

@@ -9,19 +9,12 @@ j keeps the rows it observes.  The X update is the same kernel on
 horizontal slices i, with rows (j, kappa) holding
 y[j, s, (sigma - kappa) mod k].
 
-Every system reads its rows from one segment of one list of observed
-entries, np.flatnonzero of Omega's mask in (slice, row) layout; the median
-wrappers sort it once by the subset labels `sampling.split_labels` draws.
-
 Each slice system K z = b, with h observed rows and q = r*k unknowns, is
-solved by its row count.  A slice with h = 0 gets z = 0.  A slice with
-0 < h < q gets the minimum-norm z = K^T (K K^T)^+ b from the h x h row
-Gram; these slices go through padded, batched eigh calls, with no loop
-over slices.  A slice with h >= q solves its q x q normal equations
-K^T K z = K^T b, batched, and falls back to the pseudo-inverse when a
-Cholesky pivot says the Gram is singular.  K K^T and K^T K have the same
-nonzero eigenvalues, so both pseudo-inverses apply the same eigenvalue
-cut.
+solved by its row count: z = 0 for h = 0; for 0 < h < q the minimum-norm
+z = K^T (K K^T)^+ b from the h x h row Gram, in padded, batched eigh calls;
+for h >= q the q x q normal equations K^T K z = K^T b, batched, with the
+pseudo-inverse where a Cholesky pivot says the Gram is singular.  K K^T and
+K^T K have the same nonzero eigenvalues, so both apply one eigenvalue cut.
 """
 
 import math
@@ -38,9 +31,8 @@ from .sampling import project, split, split_labels  # noqa: F401
 # smallest eigenvalue is rounding noise.  The minimum-norm solution of a
 # singular Gram drops eigenvalues at most this fraction of its largest.
 SINGULAR_TOL = 1e-10
-# Systems per batched solve are capped so that their Gram stack, or their
-# stack of gathered rows, stays this small; the median wrappers solve
-# hundreds of slices per call.
+# Each batched solve's Gram stack, or stack of gathered rows, stays this
+# small; the median wrappers solve hundreds of slices per call.
 BLOCK_BYTES = 512 * 1024
 
 
@@ -73,20 +65,81 @@ def _pinv_apply(gram, rhs):
     return (v @ np.where(keep, coef, 0.0)[..., None])[..., 0]
 
 
-def _solve_tall(rows, pos, values, start, count, sol):
-    # systems with at least q observed rows: per-slice Grams K^T K, batched
-    # solves, and minimum-norm solutions where a Cholesky pivot says singular
-    q = rows.shape[1]
-    tall = np.flatnonzero(count >= q)
-    step = max(1, BLOCK_BYTES // (8 * q * q))
-    for lo in range(0, len(tall), step):
-        block = tall[lo : lo + step]
-        gram = np.empty((len(block), q, q))
-        rhs = np.empty((len(block), q))
-        for b, (a, h) in enumerate(zip(start[block].tolist(), count[block].tolist())):
-            kept = rows.take(pos[a : a + h], axis=0)
+def _blocks(n, step):
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+class _Plan:
+    """What depends on Omega only, for one direction and q = r*k unknowns:
+    the np.flatnonzero list of observed entries in (slice, row) layout,
+    sorted by subset `labels`, each system's segment of it, the routes and
+    blocks, and the buffers the solves reuse."""
+
+    def __init__(self, observed, omega, q, y_update, labels=None, t=1):
+        # slices along axis 0, each slice's rows (i or j, kappa) flattened
+        layout = (lambda a: np.swapaxes(a, 0, 1)) if y_update else (lambda a: a)
+        mask = layout(omega.mask)
+        slices, size = mask.shape[0], mask[0].size
+        entry = np.flatnonzero(mask)
+        system, pos = np.divmod(entry, size)
+        values = layout(observed).take(entry)
+        if labels is not None:
+            # the stable sort keeps each system's rows ascending
+            subset = np.zeros(omega.dims, labels.dtype)
+            subset[omega.mask] = labels
+            system += layout(subset).take(entry) * slices
+            order = np.argsort(system, kind="stable")
+            pos, values = pos[order], values[order]
+        count = np.bincount(system, minlength=t * slices)
+        start = np.cumsum(count) - count
+        self.q, self.y_update, self.shape = q, y_update, (t, slices)
+        # h >= q: blocks of systems, each with its segment of the entries
+        tall = np.flatnonzero(count >= q)
+        step = max(1, BLOCK_BYTES // (8 * q * q))
+        segments = [(pos[a : a + h], values[a : a + h])
+                    for a, h in zip(start[tall].tolist(), count[tall].tolist())]
+        self.tall = [(tall[s], segments[s]) for s in _blocks(len(tall), step)]
+        self.kept = np.empty((count[tall].max(initial=0), q))
+        self.gram = np.empty((min(step, len(tall)), q, q))
+        self.rhs = np.empty((min(step, len(tall)), q))
+        # 0 < h < q: sorted by h; each block pads its row lists to its largest
+        # h with row `size`, a zero row whose zero eigenvalues the cut drops
+        wide = np.flatnonzero((count > 0) & (count < q))
+        wide = wide[np.argsort(count[wide])]
+        h = count[wide]
+        fill = np.arange(h.max(initial=1)) < h[:, None]
+        entry = np.where(fill, start[wide][:, None] + np.arange(fill.shape[1]), 0)
+        index = np.where(fill, pos[entry], size)
+        rhs = np.where(fill, values[entry], 0.0)
+        step = max(1, BLOCK_BYTES // (8 * index.shape[1] * q))
+        self.wide = [(wide[s], index[s, : h[s][-1]], rhs[s, : h[s][-1]])
+                     for s in _blocks(len(wide), step)]
+
+
+def _half_step(observed, omega, factor, y_update, labels=None, t=1, plan=None):
+    """Solutions (t, slices, r, k) of every (subset, slice) system; Omega's
+    entries, in row-major order, fall in subsets `labels` (None: one), and
+    a given `plan` must come from the same observed, omega, labels and t."""
+    observed, factor = _check3(observed), _check3(factor)
+    if observed.shape != omega.dims:
+        raise DimensionMismatch(f"tensor {observed.shape} vs sample set {omega.dims}")
+    name, axis = ("x", 0) if y_update else ("y", 1)
+    if observed.shape[axis] != factor.shape[0] or observed.shape[2] != factor.shape[2]:
+        raise DimensionMismatch(f"observed {observed.shape} vs {name} {factor.shape}")
+    q = factor.shape[1] * factor.shape[2]
+    plan = plan or _Plan(observed, omega, q, y_update, labels, t)
+    if (plan.q, plan.y_update) != (q, y_update):
+        raise DimensionMismatch(f"plan for q={plan.q} vs {name} {factor.shape}")
+    rows = circulant_rows(factor, 1 if y_update else -1)
+    sol = np.zeros((math.prod(plan.shape), q))
+    # h >= q: batched normal equations, minimum-norm where a Cholesky pivot
+    # says singular; mode="clip" lets take write straight into `kept`
+    for block, segments in plan.tall:
+        gram, rhs = plan.gram[: len(block)], plan.rhs[: len(block)]
+        for b, (pos, values) in enumerate(segments):
+            kept = rows.take(pos, axis=0, out=plan.kept[: len(pos)], mode="clip")
             np.dot(kept.T, kept, out=gram[b])
-            np.dot(values[a : a + h], kept, out=rhs[b])
+            np.dot(values, kept, out=rhs[b])
         singular = _pivot_singular(gram)
         if not singular.any():
             sol[block] = np.linalg.solve(gram, rhs[..., None])[..., 0]
@@ -94,78 +147,25 @@ def _solve_tall(rows, pos, values, start, count, sol):
         ok = ~singular
         sol[block[ok]] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]
         sol[block[singular]] = _pinv_apply(gram[singular], rhs[singular])
+    # 0 < h < q: the minimum-norm K^T (K K^T)^+ b from the h x h row Grams
+    rows = np.vstack([rows, np.zeros((1, q))]) if plan.wide else rows
+    for systems, index, rhs in plan.wide:
+        kept = rows[index]
+        coef = _pinv_apply(kept @ kept.transpose(0, 2, 1), rhs)
+        sol[systems] = (coef[:, None, :] @ kept)[:, 0]
+    return sol.reshape(plan.shape + factor.shape[1:])
 
 
-def _solve_wide(rows, pos, values, start, count, sol):
-    # systems with 0 < h < q observed rows: the minimum-norm solution
-    # K^T (K K^T)^+ b from the h x h row Grams.  Sorted by h, each block pads
-    # its row lists to its largest h with an appended zero row of `rows`,
-    # whose zero eigenvalues the cut drops.
-    q = rows.shape[1]
-    wide = np.flatnonzero((count > 0) & (count < q))
-    if not len(wide):
-        return
-    wide = wide[np.argsort(count[wide])]
-    h = count[wide]
-    system = np.repeat(np.arange(len(wide)), h)
-    rank = np.arange(len(system)) - (np.cumsum(h) - h)[system]
-    entry = start[wide][system] + rank
-    index = np.full((len(wide), h[-1]), len(rows))
-    index[system, rank] = pos[entry]
-    rhs = np.zeros(index.shape)
-    rhs[system, rank] = values[entry]
-    rows = np.vstack([rows, np.zeros((1, q))])
-    step = max(1, BLOCK_BYTES // (8 * h[-1] * q))
-    for lo in range(0, len(wide), step):
-        hi = min(lo + step, len(wide))
-        kept = rows[index[lo:hi, : h[hi - 1]]]
-        coef = _pinv_apply(kept @ kept.transpose(0, 2, 1), rhs[lo:hi, : h[hi - 1]])
-        sol[wide[lo:hi]] = (coef[:, None, :] @ kept)[:, 0]
-
-
-def _half_step(observed, omega, factor, y_update, labels=None, t=1):
-    """Solutions (t, slices, r, k) of every (subset, slice) system; Omega's
-    entries, in row-major order, fall in subsets `labels` (None: one)."""
-    observed = _check3(observed)
-    factor = _check3(factor)
-    if observed.shape != omega.dims:
-        raise DimensionMismatch(f"tensor {observed.shape} vs sample set {omega.dims}")
-    name, axis = ("x", 0) if y_update else ("y", 1)
-    if observed.shape[axis] != factor.shape[0] or observed.shape[2] != factor.shape[2]:
-        raise DimensionMismatch(f"observed {observed.shape} vs {name} {factor.shape}")
-    # slices along axis 0, each slice's rows (i or j, kappa) flattened
-    layout = (lambda a: np.swapaxes(a, 0, 1)) if y_update else (lambda a: a)
-    mask = layout(omega.mask)
-    slices, size = mask.shape[0], mask[0].size
-    entry = np.flatnonzero(mask)
-    system, pos = np.divmod(entry, size)
-    values = layout(observed).take(entry)
-    if labels is not None:
-        # the stable sort keeps each system's rows ascending
-        subset = np.zeros(omega.dims, labels.dtype)
-        subset[omega.mask] = labels
-        system += layout(subset).take(entry) * slices
-        order = np.argsort(system, kind="stable")
-        pos, values = pos[order], values[order]
-    count = np.bincount(system, minlength=t * slices)
-    rows = circulant_rows(factor, 1 if y_update else -1)
-    sol = np.zeros((len(count), rows.shape[1]))
-    args = (rows, pos, values, np.cumsum(count) - count, count, sol)
-    _solve_tall(*args)
-    _solve_wide(*args)
-    return sol.reshape((t, slices) + factor.shape[1:])
-
-
-def ls_solve_y(observed, omega, x):
+def ls_solve_y(observed, omega, x, *, plan=None):
     """Minimize ||P_Omega(T - X * Y^dag)||_F^2 over Y (n, r, k); entries of
-    `observed` outside Omega are ignored."""
-    return _half_step(observed, omega, x, True)[0]
+    `observed` outside Omega are ignored.  `plan`: `_Plan(..., r*k, True)`."""
+    return _half_step(observed, omega, x, True, plan=plan)[0]
 
 
-def ls_solve_x(observed, omega, y):
-    """Minimize ||P_Omega(T - X * Y^dag)||_F^2 over X (m, r, k): the same
-    kernel over horizontal slices, with circulant rows of y at sign -1."""
-    return _half_step(observed, omega, y, False)[0]
+def ls_solve_x(observed, omega, y, *, plan=None):
+    """The same over X (m, r, k): horizontal slices, circulant rows of y at
+    sign -1, and `plan` from `_Plan(observed, omega, r*k, False)`."""
+    return _half_step(observed, omega, y, False, plan=plan)[0]
 
 
 def median_count(n):

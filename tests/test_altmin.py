@@ -295,6 +295,7 @@ def test_stop_rules_end_the_loop(variant, monkeypatch):
         return smooth_qr(*args)
 
     monkeypatch.setattr(altmin, "smooth_qr", counted)
+    monkeypatch.setattr(altmin, "STALL_TOL", 0.0)  # never stalls
     t, _ = synth_low_tubal_rank(15, 15, 3, 2, RngSeed(18, "rules"))
     omega = sample_bernoulli(15, 15, 3, 0.8, RngSeed(18, "rules-mask"))
     observed = project(t, omega)
@@ -303,13 +304,13 @@ def test_stop_rules_end_the_loop(variant, monkeypatch):
         iterations=6,
         variant=variant,
         seed=RngSeed(18, "rules-run"),
-        stall_tol=0.0,  # never stalls
     )
     free = tubal_alt_min(observed, omega, cfg, ground_truth=t)
     assert len(free.rse) == 6
-    stall = replace(cfg, stall_window=2, stall_tol=2 * max(free.rse))
-    stalled = tubal_alt_min(observed, omega, stall, ground_truth=t)
+    monkeypatch.setattr(altmin, "STALL_TOL", 2 * max(free.rse))
+    stalled = tubal_alt_min(observed, omega, replace(cfg, stall_window=2), ground_truth=t)
     assert stalled.rse == free.rse[:3]
+    monkeypatch.setattr(altmin, "STALL_TOL", 0.0)
     stop = replace(cfg, stop_rse=2 * free.rse[0])
     stopped = tubal_alt_min(observed, omega, stop, ground_truth=t)
     assert stopped.rse == free.rse[:1]

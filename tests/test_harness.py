@@ -351,9 +351,10 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["converge", *small, *bad_alpha]) == 2
     tensor_path = tmp_path / "t.t3b"
     write_tensor(tensor_path, np.zeros((2, 2, 2)))
-    for body in ("1 1 x\n", "1 1 9\n"):  # non-integer field, out of range
+    # non-integer field, out of range, dims other than the tensor's
+    for text in ("2 2 2\n1 1 x\n", "2 2 2\n1 1 9\n", "3 3 2\n1 1 1\n"):
         mask_path = tmp_path / "bad_mask.txt"
-        mask_path.write_text("2 2 2\n" + body)
+        mask_path.write_text(text)
         malformed = cli.main(
             [
                 "complete",
@@ -455,3 +456,19 @@ def test_lapack_failure_is_solver_breakdown(tmp_path, monkeypatch):
     # a sweep records the failure in its row; a trace has no row to put it in
     assert cli.main(["sweep", *args]) == 0
     assert cli.main(["converge", *args]) == 4
+
+
+def test_tnn_admm_lambda_path_without_observations_is_a_solver_failure(tmp_path):
+    # an empty Omega (4 entries at p = 0.05, seed 0) or all-zero observations
+    # would put every grid lambda at 0: InsufficientSamples, not a bad argument
+    args = ["--size", "2,2,1", "--rank", "1", "--rates", "0.05", "--algo", "tnn-admm"]
+    args += ["--seed", "0", "--out", str(tmp_path)]
+    assert cli.main(["sweep", *args]) == 0
+    table = read_csv(tmp_path / "sweep.csv")
+    assert len(table) == 2 and ["tnn-admm", "nan"] == [table[1][0], table[1][4]]
+    assert cli.main(["converge", *args]) == 4
+    tensor_path = tmp_path / "zeros.t3b"
+    write_tensor(tensor_path, np.zeros((4, 4, 2)))
+    io = ["--input", str(tensor_path), "--output", str(tmp_path / "o.t3b")]
+    spec = ["--size", "4,4,2", "--rank", "1", "--algo", "tnn-admm"]
+    assert cli.main(["complete", *io, *spec]) == 4

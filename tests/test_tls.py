@@ -18,6 +18,7 @@ from tubalkit.sampling import (
 )
 from tubalkit.tls import (
     BLOCK_BYTES,
+    _Plan,
     _pinv_apply,
     _pivot_singular,
     circulant_rows,
@@ -577,6 +578,11 @@ def test_dimension_mismatch_errors():
         ls_solve_y(t, omega, np.zeros((5, 2, 3)))
     with pytest.raises(DimensionMismatch):
         ls_solve_x(t, omega, np.zeros((4, 2, 4)))
+    plan = _Plan(t, omega, 2 * 3, True)  # a Y plan for rank 2
+    with pytest.raises(DimensionMismatch):
+        ls_solve_x(t, omega, np.zeros((4, 2, 3)), plan=plan)
+    with pytest.raises(DimensionMismatch):
+        ls_solve_y(t, omega, np.zeros((4, 3, 3)), plan=plan)
 
 
 def dense_solve_tall(rows, masks, values, count, sol):
@@ -670,6 +676,16 @@ def test_entry_lists_match_dense_mask_oracle(m, n, k, p, t):
     got_x = ls_solve_x(observed, omega, y)
     assert np.array_equal(got_y, dense_mask_half_step(observed, omega, x, True, [omega])[0])
     assert np.array_equal(got_x, dense_mask_half_step(observed, omega, y, False, [omega])[0])
+    # one plan per direction, reused across a rank-deficient and a full-rank
+    # factor; the second call must leave the first call's result as it was
+    x2, y2 = rng.standard_normal((m, 3, k)), y.copy()
+    y2[:, 0] = y2[:, 2]
+    for solve, up, first, second in ((ls_solve_y, True, x, x2), (ls_solve_x, False, y2, y)):
+        plan = _Plan(observed, omega, 3 * k, up)
+        one = solve(observed, omega, first, plan=plan)
+        two = solve(observed, omega, second, plan=plan)
+        assert np.array_equal(one, solve(observed, omega, first))
+        assert np.array_equal(two, solve(observed, omega, second))
     med_y = median_ls(observed, omega, x, seed, t=t)
     med_x = median_ls_x(observed, omega, y, seed, t=t)
     assert np.array_equal(med_y, dense_median(observed, omega, x, seed, t, True))
