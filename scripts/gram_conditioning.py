@@ -34,20 +34,20 @@ def gram_conditions(observed, omega, factor, y_update):
     return np.linalg.cond(grams)
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     conds = {"y": [], "x": []}
     solve_y, solve_x = altmin.ls_solve_y, altmin.ls_solve_x
 
-    def traced_y(observed, omega, x):
+    def traced_y(observed, omega, x, **kwargs):
         conds["y"].append(gram_conditions(observed, omega, x, True))
-        return solve_y(observed, omega, x)
+        return solve_y(observed, omega, x, **kwargs)
 
-    def traced_x(observed, omega, y):
+    def traced_x(observed, omega, y, **kwargs):
         conds["x"].append(gram_conditions(observed, omega, y, False))
-        return solve_x(observed, omega, y)
+        return solve_x(observed, omega, y, **kwargs)
 
     altmin.ls_solve_y, altmin.ls_solve_x = traced_y, traced_x
     try:

@@ -22,6 +22,9 @@ from .errors import (
     SingularFrequencySlice,
 )
 
+COND_LIMIT = 1e12  # tinv refuses a frequency slice less well conditioned
+ORTH_TOL = 1e-8  # coherence's per-entry orthonormality tolerance
+
 
 def _check3(t):
     t = np.asarray(t)
@@ -91,7 +94,7 @@ def identity_tensor(n, k):
     return out
 
 
-def tinv(t, cond_limit=1e12):
+def tinv(t):
     """t-product inverse of a square tensor via frequency-slice inversion."""
     t = _check3(t)
     n, n2, k = t.shape
@@ -101,7 +104,7 @@ def tinv(t, cond_limit=1e12):
     sv = np.linalg.svd(ft, compute_uv=False)
     # A slice and its conjugate partner share singular values, so the first
     # bad half-spectrum slice is also the first bad one of all k.
-    bad = np.flatnonzero((sv[:, -1] == 0) | (sv[:, 0] > cond_limit * sv[:, -1]))
+    bad = np.flatnonzero((sv[:, -1] == 0) | (sv[:, 0] > COND_LIMIT * sv[:, -1]))
     if bad.size:
         raise SingularFrequencySlice(int(bad[0]))
     return from_freq_slices(np.linalg.inv(ft), k)
@@ -138,14 +141,14 @@ def orthonormality_error(u):
     return float(np.linalg.norm(gram - identity_tensor(r, u.shape[2])))
 
 
-def coherence(u, orth_tol=1e-8):
+def coherence(u):
     """Coherence of an orthonormal tensor-column subspace.
 
     Equals (n/r) * max_i ||U(i, :, :)||_F^2 and lies in [1, n/r].
     """
     u = _check3(u)
     n, r, k = u.shape
-    if orthonormality_error(u) > orth_tol * np.sqrt(max(r * k, 1)):
+    if orthonormality_error(u) > ORTH_TOL * np.sqrt(max(r * k, 1)):
         raise NotOrthonormal("input lateral slices are not orthonormal")
     row_sq = np.sum(u * u, axis=(1, 2))
     return float(n / r * np.max(row_sq))

@@ -67,12 +67,11 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Per-iteration error/time trace plus the fitted convergence line."""
+    """Per-iteration error/time trace; `slope` and `intercept` are its
+    `fit_line`, None when the trace cannot be fitted."""
 
     rse: list
     seconds: list
-    slope: float | None
-    intercept: float | None
     x: np.ndarray | None
     y: np.ndarray | None
     rse_is_training: bool = False
@@ -81,6 +80,8 @@ class SolveReport:
     feasibility_gap: float | None = None
     admm_state: tuple | None = None  # final (z, q), to warm-start the next run
     path_iterations: int | None = None  # ADMM iterations of the whole lambda path
+    slope = property(lambda self: fit_line(self.rse)[0])
+    intercept = property(lambda self: fit_line(self.rse)[1])
 
 
 def rse(estimate, truth):
@@ -261,12 +262,9 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
         if len(rse_trace) > window and abs(rse_trace[-1 - window] - value) < STALL_TOL:
             break
 
-    slope, intercept = fit_line(rse_trace)
     return SolveReport(
         rse=rse_trace,
         seconds=seconds,
-        slope=slope,
-        intercept=intercept,
         x=x_raw,
         y=y,
         rse_is_training=ground_truth is None,

@@ -1,5 +1,9 @@
 """Command-line entry point for the benchmark harness.
 
+Each flag's dest is the `harness.ExperimentSpec` field it sets, and no flag
+states a default: a flag that is not given takes the dataclass default.
+Each subcommand registers only the flags it reads.
+
 Exit codes: 0 success, 2 bad arguments, 3 I/O failure, 4 solver failure.
 """
 
@@ -11,113 +15,95 @@ from .errors import FileFormatError, TubalError
 from .sampling import RngSeed, synth_low_tubal_rank
 
 
-def _size(text):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("size must be m,n,k")
-    return tuple(int(p) for p in parts)
+def _csv(cast):
+    def parse(text):
+        return [cast(p) for p in text.split(",")]
+
+    parse.__name__ = f"comma-separated {cast.__name__}"  # named in argparse errors
+    return parse
 
 
-def _rates(text):
-    return [float(p) for p in text.split(",")]
+class _Size(argparse.Action):
+    """Store `--size m,n,k` in the spec fields m, n and k."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if len(values) != 3:
+            raise argparse.ArgumentError(self, "size must be m,n,k")
+        namespace.m, namespace.n, namespace.k = values
 
 
-def _add_common(sub):
-    sub.add_argument("--size", type=_size, default=(50, 50, 10), help="m,n,k")
-    sub.add_argument("--rank", type=int, default=3)
-    sub.add_argument("--rates", type=_rates, default=[0.5], help="csv list in (0,1]")
-    sub.add_argument(
-        "--algo",
-        action="append",
-        choices=harness.ALGORITHMS,
-        help="repeatable; default altmin-simple",
-    )
-    sub.add_argument("--iters", type=int, default=15)
-    sub.add_argument("--mu0", type=float, default=1e6)
-    sub.add_argument("--eps", type=float, default=0.01)
-    sub.add_argument("--lambda", dest="lam", type=float, default=None)
-    sub.add_argument("--alpha", type=float, help="ADMM penalty; default |Omega|/(mnk)")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--reps", type=int, default=1)
-    sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--threshold", type=float, default=1e-5)
-
-
-def _spec(args):
-    m, n, k = args.size
-    return harness.ExperimentSpec(
-        m=m,
-        n=n,
-        k=k,
-        rank=args.rank,
-        rates=args.rates,
-        algorithms=tuple(args.algo or ["altmin-simple"]),
-        iterations=args.iters,
-        epsilon=args.eps,
-        mu0=args.mu0,
-        lam=args.lam,
-        alpha=args.alpha,
-        seed=args.seed,
-        repetitions=args.reps,
-        out_dir=args.out,
-        threshold=args.threshold,
-        sizes=getattr(args, "sizes", []),
-    )
+# flag name -> add_argument keywords; a dest is the ExperimentSpec field set
+OPTIONS = {
+    "size": dict(dest="m", metavar="M,N,K", type=_csv(int), action=_Size),
+    "rank": dict(type=int),
+    "rates": dict(type=_csv(float), help="csv list in (0,1]"),
+    "algo": dict(dest="algorithms", action="append", choices=harness.ALGORITHMS),
+    "iters": dict(dest="iterations", type=int),
+    "mu0": dict(type=float),
+    "eps": dict(dest="epsilon", type=float),
+    "lambda": dict(dest="lam", type=float),
+    "alpha": dict(type=float, help="ADMM penalty; unset: the sampling rate"),
+    "seed": dict(type=int),
+    "reps": dict(dest="repetitions", type=int),
+    "out": dict(dest="out_dir", help="output directory"),
+    "threshold": dict(type=float),
+    "sizes": dict(type=_csv(int), help="csv list of square sizes"),
+    "file": dict(required=True, help="output T3B path"),
+    "input": dict(required=True),
+    "output": dict(required=True),
+    "mask": dict(help="sample-set text file"),
+}
+PATHS = ("file", "input", "output", "mask")  # the dests that are not spec fields
+SOLVE = "rank rates algo iters mu0 eps lambda alpha seed"
+COMMANDS = {
+    "gen": ("synthesize a low-tubal-rank instance", "size rank seed file"),
+    "sweep": ("final RSE vs sampling rate", f"size {SOLVE} reps out"),
+    "converge": ("per-iteration RSE trace", f"size {SOLVE} reps out"),
+    "scale": ("time-to-threshold vs tensor size", f"size {SOLVE} out threshold sizes"),
+    "complete": ("complete a T3B tensor file", f"input output mask {SOLVE}"),
+}
+# list fields of which a subcommand reads only the first value
+SINGLE = {"converge": ["rates"], "scale": ["rates"], "complete": ["rates", "algorithms"]}
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="tubalkit")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    gen = subs.add_parser("gen", help="synthesize a low-tubal-rank instance")
-    _add_common(gen)
-    gen.add_argument("--file", required=True, help="output T3B path")
-
-    sweep = subs.add_parser("sweep", help="final RSE vs sampling rate")
-    _add_common(sweep)
-
-    converge = subs.add_parser("converge", help="per-iteration RSE trace")
-    _add_common(converge)
-
-    scale = subs.add_parser("scale", help="time-to-threshold vs tensor size")
-    _add_common(scale)
-    scale.add_argument(
-        "--sizes",
-        type=lambda s: [int(v) for v in s.split(",")],
-        default=[25, 50, 75, 100],
-        help="csv list of square sizes, default 25,50,75,100",
+    parser = argparse.ArgumentParser(
+        prog="tubalkit", description="Flags not given take ExperimentSpec's defaults."
     )
-
-    complete = subs.add_parser("complete", help="complete a T3B tensor file")
-    _add_common(complete)
-    complete.add_argument("--input", required=True)
-    complete.add_argument("--output", required=True)
-    complete.add_argument("--mask", default=None, help="sample-set text file")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, flags) in COMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
+        for flag in flags.split():
+            sub.add_argument(f"--{flag}", **OPTIONS[flag])
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
+    paths = {name: args.pop(name) for name in PATHS if name in args}
+    fields = {name: value for name, value in args.items() if value is not None}
     try:
-        if args.command == "gen":
-            spec = _spec(args)
-            tensor, _ = synth_low_tubal_rank(
-                spec.m, spec.n, spec.k, spec.rank, RngSeed(args.seed, "gen")
-            )
-            harness.write_tensor(args.file, tensor)
-        elif args.command == "sweep":
-            harness.run_recovery_sweep(_spec(args))
-        elif args.command == "converge":
-            harness.run_convergence(_spec(args))
-        elif args.command == "scale":
-            harness.run_runtime_scaling(_spec(args))
-        elif args.command == "complete":
-            spec = _spec(args)
-            algo = (args.algo or ["altmin-simple"])[0]
+        for name in SINGLE.get(command, ()):
+            if len(fields.get(name, ())) > 1:
+                raise ValueError(f"{command} reads one value of {name}: {fields[name]}")
+        if command == "complete":
             harness.complete_file(
-                args.input, args.mask, args.rates[0], algo, spec, args.output
+                paths["input"], paths["output"], paths["mask"], **fields
             )
+            return 0
+        spec = harness.ExperimentSpec(**fields)
+        if command == "gen":
+            tensor, _ = synth_low_tubal_rank(
+                spec.m, spec.n, spec.k, spec.rank, RngSeed(spec.seed, "gen")
+            )
+            harness.write_tensor(paths["file"], tensor)
+        elif command == "sweep":
+            harness.run_recovery_sweep(spec)
+        elif command == "converge":
+            harness.run_convergence(spec)
+        else:
+            harness.run_runtime_scaling(spec)
     except (FileFormatError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3

@@ -20,19 +20,17 @@ import numpy as np
 from .altmin import SolverConfig, trace_error, tubal_alt_min
 from .errors import (
     BadMagic,
-    DimOverflow,
     FileFormatError,
     InsufficientSamples,
     SolverBreakdown,
     TruncatedFile,
     TubalError,
 )
-from .sampling import RngSeed, project, sample_bernoulli, read_sample_set
+from .sampling import RngSeed, check_file_dims, project, read_sample_set, sample_bernoulli
 from .tnn_admm import AdmmConfig, admm_complete, lambda_grid
 from . import sampling
 
 T3B_MAGIC = b"T3B1"
-MAX_ELEMENTS = 2**33
 CSV_HEADER = ["algorithm", "rate", "rep", "iter", "rse", "seconds"]
 ALGORITHMS = ("altmin-full", "altmin-simple", "tnn-admm")
 
@@ -55,9 +53,8 @@ def read_tensor(path):
         if len(header) < 12:
             raise TruncatedFile("header ends before the three dims")
         m, n, k = struct.unpack("<3I", header)
+        check_file_dims(m, n, k)
         count = m * n * k
-        if min(m, n, k) == 0 or count > MAX_ELEMENTS:
-            raise DimOverflow(f"dims {(m, n, k)} out of supported range")
         size = os.fstat(fh.fileno()).st_size
         if size != 16 + count * 8:
             raise TruncatedFile(f"header promises {count} values; file holds {size} bytes")
@@ -70,6 +67,8 @@ def read_tensor(path):
 
 @dataclass
 class ExperimentSpec:
+    """Experiment settings; the CLI flags set these fields and default to them."""
+
     m: int = 50
     n: int = 50
     k: int = 10
@@ -93,8 +92,6 @@ class ExperimentSpec:
             raise ValueError(f"size m,n,k = {self.m},{self.n},{self.k} must be >= 1")
         if not 1 <= self.rank <= min(self.m, self.n):
             raise ValueError(f"rank {self.rank} outside [1, {min(self.m, self.n)}]")
-        if any(size < self.rank for size in self.sizes):
-            raise ValueError(f"sizes {self.sizes} must all be >= rank {self.rank}")
         if any(not 0 < rate <= 1 for rate in self.rates):
             raise ValueError("sampling rates must lie in (0, 1]")
         if self.repetitions < 1:
@@ -266,6 +263,8 @@ def run_convergence(spec):
 
 def run_runtime_scaling(spec):
     """Wall-clock seconds until the RSE threshold, per size and algorithm."""
+    if any(size < spec.rank for size in spec.sizes):
+        raise ValueError(f"sizes {spec.sizes} must all be >= rank {spec.rank}")
     rate = spec.rates[0]
     results = []
     for size in spec.sizes:
@@ -297,14 +296,18 @@ def run_runtime_scaling(spec):
     return results
 
 
-def complete_file(input_path, mask_path, rate, algorithm, spec, output_path):
+def complete_file(input_path, output_path, mask_path=None, **fields):
     """Complete a T3B tensor file and write the result plus a JSON report.
 
-    The mask comes from `mask_path` (sample-set text file) when given,
-    otherwise a fresh Bernoulli(rate) set is drawn from the spec seed.
+    `fields` are `ExperimentSpec` fields; m, n and k come from the tensor,
+    and the first of the spec's rates and algorithms is used.  The mask
+    comes from `mask_path` (sample-set text file) when given, otherwise a
+    fresh Bernoulli(rate) set is drawn from the spec seed.
     """
     t = read_tensor(input_path)
     m, n, k = t.shape
+    spec = ExperimentSpec(m, n, k, **fields)
+    rate, algorithm = spec.rates[0], spec.algorithms[0]
     if mask_path is not None:
         omega = read_sample_set(mask_path)
         if omega.dims != t.shape:
@@ -312,9 +315,8 @@ def complete_file(input_path, mask_path, rate, algorithm, spec, output_path):
     else:
         omega = sample_bernoulli(m, n, k, rate, RngSeed(spec.seed, "complete/omega"))
     observed = project(t, omega)
-    sized = replace(spec, m=m, n=n, k=k)
     report = run_algorithm(
-        sized, algorithm, observed, omega, None, RngSeed(spec.seed, "complete/run")
+        spec, algorithm, observed, omega, None, RngSeed(spec.seed, "complete/run")
     )
     estimate = report.estimate
     write_tensor(output_path, estimate)

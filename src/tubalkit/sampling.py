@@ -8,10 +8,13 @@ import numpy as np
 from .algebra import tprod, _check3
 from .errors import (
     DimensionMismatch,
+    DimOverflow,
     FileFormatError,
     InvalidEntries,
     RankOutOfRange,
 )
+
+MAX_ELEMENTS = 2**33  # the most entries a tensor or sample-set file may hold
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,12 @@ def synth_low_tubal_rank(m, n, k, r, seed):
     return tprod(x, y), (x, y)
 
 
+def check_file_dims(m, n, k):
+    """Refuse a file header's dims unless each is >= 1, product <= MAX_ELEMENTS."""
+    if min(m, n, k) < 1 or m * n * k > MAX_ELEMENTS:
+        raise DimOverflow(f"dims {(m, n, k)} out of supported range")
+
+
 def write_sample_set(path, omega):
     """Text format: header "m n k", then one 1-based "i j kappa" per line."""
     with open(path, "w") as fh:
@@ -131,12 +140,14 @@ def write_sample_set(path, omega):
 
 def read_sample_set(path):
     """Parse the text format of `write_sample_set`; a malformed header,
-    field or out-of-range triple raises FileFormatError."""
+    field or out-of-range triple raises FileFormatError, and so do dims
+    that `check_file_dims` refuses."""
     with open(path) as fh:
         header = fh.readline()
         lines = [line for line in fh if line.strip()]
     try:
         m, n, k = (int(v) for v in header.split())
+        check_file_dims(m, n, k)
         triples = [tuple(int(v) - 1 for v in line.split()) for line in lines]
         return SampleSet.from_triples(m, n, k, triples)
     except (ValueError, DimensionMismatch) as exc:

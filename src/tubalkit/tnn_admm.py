@@ -25,9 +25,11 @@ from .algebra import (
     spectral_norm,
     _check3,
 )
-from .altmin import SolveReport, fit_line, trace_error
+from .altmin import SolveReport, trace_error
 from .errors import DimensionMismatch, InsufficientSamples
 from .sampling import check_observed
+
+GRID_POINTS = 5  # candidate weights in lambda_grid
 
 
 @dataclass
@@ -70,9 +72,9 @@ def svt(t, eps):
     return z, float(freq_weights(k) @ s.sum(axis=1))
 
 
-def lambda_grid(observed, points=5):
-    """Geometric grid of candidate weights, [1e-3, 1] x spectral norm."""
-    return np.geomspace(1e-3, 1.0, points) * spectral_norm(observed)
+def lambda_grid(observed):
+    """Geometric grid of GRID_POINTS weights, [1e-3, 1] x spectral norm."""
+    return np.geomspace(1e-3, 1.0, GRID_POINTS) * spectral_norm(observed)
 
 
 def admm_complete(observed, omega, cfg, ground_truth=None, start=None):
@@ -125,12 +127,9 @@ def admm_complete(observed, omega, cfg, ground_truth=None, start=None):
         if primal <= stop and alpha * np.linalg.norm(z - z_prev) <= stop:
             break
 
-    slope, intercept = fit_line(rse_trace)
     return SolveReport(
         rse=rse_trace,
         seconds=seconds,
-        slope=slope,
-        intercept=intercept,
         x=None,
         y=None,
         rse_is_training=ground_truth is None,

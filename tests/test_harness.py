@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import struct
@@ -218,9 +219,8 @@ def test_complete_file_round_trip(tmp_path):
     src = tmp_path / "in.t3b"
     dst = tmp_path / "out.t3b"
     write_tensor(src, t)
-    spec = tiny_spec(tmp_path, iterations=12)
     summary = harness.complete_file(
-        str(src), None, 0.9, "altmin-simple", spec, str(dst)
+        str(src), str(dst), rank=1, rates=[0.9], iterations=12
     )
     est = read_tensor(dst)
     assert est.shape == t.shape
@@ -243,8 +243,9 @@ def test_complete_file_counts_whole_admm_path(tmp_path, monkeypatch):
     src = tmp_path / "in.t3b"
     dst = tmp_path / "out.t3b"
     write_tensor(src, t)
-    spec = tiny_spec(tmp_path, algorithms=("tnn-admm",))
-    harness.complete_file(str(src), None, 0.7, "tnn-admm", spec, str(dst))
+    harness.complete_file(
+        str(src), str(dst), rank=1, rates=[0.7], algorithms=("tnn-admm",)
+    )
     with open(str(dst) + ".report.json") as fh:
         summary = json.load(fh)
     assert len(reports) == 5
@@ -262,9 +263,8 @@ def test_complete_file_with_mask(tmp_path):
     write_tensor(src, t)
     omega = sample_bernoulli(8, 8, 2, 0.9, RngSeed(5, "cfm-mask"))
     write_sample_set(mask_path, omega)
-    spec = tiny_spec(tmp_path)
     summary = harness.complete_file(
-        str(src), str(mask_path), 0.5, "altmin-simple", spec, str(dst)
+        str(src), str(dst), str(mask_path), rank=1, iterations=6
     )
     assert summary["observed_entries"] == omega.size
 
@@ -299,8 +299,6 @@ def test_cli_gen_and_complete(tmp_path):
             "0.9",
             "--rank",
             "1",
-            "--size",
-            "8,8,2",
             "--iters",
             "8",
         ]
@@ -351,8 +349,10 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["converge", *small, *bad_alpha]) == 2
     tensor_path = tmp_path / "t.t3b"
     write_tensor(tensor_path, np.zeros((2, 2, 2)))
-    # non-integer field, out of range, dims other than the tensor's
-    for text in ("2 2 2\n1 1 x\n", "2 2 2\n1 1 9\n", "3 3 2\n1 1 1\n"):
+    # non-integer field, out of range, dims other than the tensor's, and
+    # dims too large to allocate (refused before any allocation)
+    texts = ("2 2 2\n1 1 x\n", "2 2 2\n1 1 9\n", "3 3 2\n1 1 1\n")
+    for text in (*texts, "100000 100000 100000\n1 1 1\n"):
         mask_path = tmp_path / "bad_mask.txt"
         mask_path.write_text(text)
         malformed = cli.main(
@@ -364,8 +364,6 @@ def test_cli_exit_codes(tmp_path):
                 str(mask_path),
                 "--output",
                 str(tmp_path / "o.t3b"),
-                "--size",
-                "2,2,2",
                 "--rank",
                 "1",
             ]
@@ -386,10 +384,60 @@ def test_cli_exit_codes(tmp_path):
 )
 def test_cli_bad_size_or_rank_exits_2(tmp_path, capsys, argv, named):
     # rejected when the spec is built, before any tensor is drawn or written
-    extra = ["--file", str(tmp_path / "x.t3b")] if argv[0] == "gen" else []
-    assert cli.main([*argv, *extra, "--out", str(tmp_path)]) == 2
+    gen = argv[0] == "gen"
+    extra = ["--file", str(tmp_path / "x.t3b")] if gen else ["--out", str(tmp_path)]
+    assert cli.main([*argv, *extra]) == 2
     assert f"bad argument: {named}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_parser_dests_are_spec_fields_without_defaults():
+    # a flag that is not given must fall back to ExperimentSpec's default
+    allowed = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    allowed |= {"command", "file", "input", "output", "mask"}
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if a.dest == "command"]
+    for name, sub in subs.choices.items():
+        for action in sub._actions:
+            if action.dest == "help":
+                continue
+            assert action.dest in allowed, (name, action.option_strings)
+            assert action.default is None, (name, action.option_strings)
+
+
+def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path):
+    tensor_path = tmp_path / "t.t3b"
+    write_tensor(tensor_path, np.ones((4, 4, 2)))
+    io = ["--input", str(tensor_path), "--output", str(tmp_path / "o.t3b")]
+    gen = ["gen", "--file", str(tmp_path / "g.t3b")]
+    run = ["--size", "6,6,2", "--rank", "1", "--out", str(tmp_path)]
+    for argv in (
+        [*gen, "--iters", "3"],
+        ["scale", *run, "--reps", "3"],
+        ["complete", *io, "--size", "4,4,2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    # one value is read; a second one is refused, not ignored
+    for argv in (
+        ["converge", *run, "--rates", "0.3,0.5"],
+        ["scale", *run, "--rates", "0.3,0.5", "--sizes", "6"],
+        ["complete", *io, "--rates", "0.3,0.5"],
+        ["complete", *io, "--algo", "altmin-simple", "--algo", "tnn-admm"],
+    ):
+        assert cli.main(argv) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.t3b"]
+
+
+def test_cli_rank_is_checked_against_the_tensor_it_reads(tmp_path):
+    # the sizes a scale run would use do not bound gen's or sweep's rank
+    path = tmp_path / "big.t3b"
+    assert cli.main(["gen", "--size", "40,40,2", "--rank", "30", "--file", str(path)]) == 0
+    write_tensor(path, np.ones((60, 60, 2)))
+    io = ["--input", str(path), "--output", str(tmp_path / "o.t3b")]
+    assert cli.main(["complete", *io, "--rank", "55", "--iters", "1"]) == 0
+    assert cli.main(["complete", *io, "--rank", "61", "--iters", "1"]) == 2
 
 
 def test_admm_path_seconds_include_earlier_runs(tmp_path, monkeypatch):
@@ -470,5 +518,4 @@ def test_tnn_admm_lambda_path_without_observations_is_a_solver_failure(tmp_path)
     tensor_path = tmp_path / "zeros.t3b"
     write_tensor(tensor_path, np.zeros((4, 4, 2)))
     io = ["--input", str(tensor_path), "--output", str(tmp_path / "o.t3b")]
-    spec = ["--size", "4,4,2", "--rank", "1", "--algo", "tnn-admm"]
-    assert cli.main(["complete", *io, *spec]) == 4
+    assert cli.main(["complete", *io, "--rank", "1", "--algo", "tnn-admm"]) == 4

@@ -2,6 +2,7 @@
 tls.circulant_rows.  Running it on a tiny instance in the fast suite keeps
 it from drifting away from the solver unnoticed."""
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -33,3 +34,21 @@ def test_gram_conditioning_on_a_tiny_instance(monkeypatch):
         conds = script.gram_conditions(observed, omega, factor, y_update)
         assert conds.shape == (slices,)
         assert np.all(np.isfinite(conds)) and np.all(conds >= 1)
+
+
+def test_gram_conditioning_main_runs_end_to_end(monkeypatch, capsys):
+    # the solver's half-steps are wrapped, so a changed call breaks this run
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    script = load_script()
+    tiny = {
+        name: dataclasses.replace(w, dims=(8, 8, 2), rank=1, instances=1)
+        for name, w in script.workloads.WORKLOADS.items()
+    }
+    monkeypatch.setattr(script.workloads, "WORKLOADS", tiny)
+    solvers = (script.altmin.ls_solve_y, script.altmin.ls_solve_x)
+    script.main(["--seed", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        assert "(1 instances, seed 3)" in line and "largest Gram condition" in line
+    assert (script.altmin.ls_solve_y, script.altmin.ls_solve_x) == solvers
