@@ -35,6 +35,7 @@ class _Size(argparse.Action):
 # flag name -> add_argument keywords; a dest is the ExperimentSpec field set
 OPTIONS = {
     "size": dict(dest="m", metavar="M,N,K", type=_csv(int), action=_Size),
+    "tube": dict(dest="k", type=int, help="tube length k; m = n = each of --sizes"),
     "rank": dict(type=int),
     "rates": dict(type=_csv(float), help="csv list in (0,1]"),
     "algo": dict(dest="algorithms", action="append", choices=harness.ALGORITHMS),
@@ -59,7 +60,7 @@ COMMANDS = {
     "gen": ("synthesize a low-tubal-rank instance", "size rank seed file"),
     "sweep": ("final RSE vs sampling rate", f"size {SOLVE} reps out"),
     "converge": ("per-iteration RSE trace", f"size {SOLVE} reps out"),
-    "scale": ("time-to-threshold vs tensor size", f"size {SOLVE} out threshold sizes"),
+    "scale": ("time-to-threshold vs tensor size", f"tube {SOLVE} out threshold sizes"),
     "complete": ("complete a T3B tensor file", f"input output mask {SOLVE}"),
 }
 # list fields of which a subcommand reads only the first value
@@ -72,7 +73,8 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (summary, flags) in COMMANDS.items():
-        sub = subs.add_parser(command, help=summary)
+        # no prefixes: scale's --sizes must not take a --size meant for gen
+        sub = subs.add_parser(command, help=summary, allow_abbrev=False)
         for flag in flags.split():
             sub.add_argument(f"--{flag}", **OPTIONS[flag])
     return parser
@@ -92,6 +94,9 @@ def main(argv=None):
                 paths["input"], paths["output"], paths["mask"], **fields
             )
             return 0
+        if command == "scale":  # only --sizes bounds the rank
+            sizes = fields.get("sizes", harness.ExperimentSpec.sizes)
+            fields["m"] = fields["n"] = min(sizes)
         spec = harness.ExperimentSpec(**fields)
         if command == "gen":
             tensor, _ = synth_low_tubal_rank(

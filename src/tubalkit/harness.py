@@ -4,8 +4,9 @@ T3B tensor format: magic "T3B1", three little-endian uint32 dims (m, n, k),
 then m*n*k little-endian float64 values with index i fastest, then j, then
 kappa (Fortran order of an (m, n, k) array).
 
-Trace CSV schema: "algorithm,rate,rep,iter,rse,seconds".  Failed runs keep
-their row with rse written as nan.
+Trace CSV schema: "algorithm,rate,rep,iter,rse,seconds".  A failed run
+(a `TubalError`) keeps its row in `sweep` and `scale`, with the error or the
+seconds written as nan; `converge` and `complete` raise it (CLI exit 4).
 """
 
 import csv
@@ -14,6 +15,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,16 +78,15 @@ class ExperimentSpec:
     rates: list = field(default_factory=lambda: [0.5])
     algorithms: tuple = ("altmin-simple",)
     iterations: int = 15
-    admm_iterations: int = 500
-    epsilon: float = 0.01
-    mu0: float = 1e6
+    epsilon: float = SolverConfig.epsilon
+    mu0: float = SolverConfig.coherence_budget
     lam: float | None = None
     alpha: float | None = None
     seed: int = 0
     repetitions: int = 1
     out_dir: str = "."
     threshold: float = 1e-5
-    sizes: list = field(default_factory=lambda: [25, 50, 75, 100])
+    sizes: tuple = (25, 50, 75, 100)
 
     def __post_init__(self):
         if min(self.m, self.n, self.k) < 1:
@@ -101,8 +102,7 @@ class ExperimentSpec:
                 raise ValueError(f"unknown algorithm {algo!r}")
 
 
-@dataclass
-class TraceRow:
+class TraceRow(NamedTuple):
     algorithm: str
     rate: float
     rep: int
@@ -110,34 +110,15 @@ class TraceRow:
     rse: float
     seconds: float
 
-    def as_list(self):
-        return [
-            self.algorithm,
-            repr(self.rate),
-            self.rep,
-            self.iter,
-            repr(self.rse),
-            repr(self.seconds),
-        ]
 
-
-def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+def write_csv(out_dir, name, header, rows):
+    """Write `header` and `rows`, as they are, to `out_dir`/`name`, creating
+    `out_dir`.  `csv` writes a float as its repr and None as an empty field."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _solver_config(spec, algo, run_seed):
-    variant = "full" if algo == "altmin-full" else "simplified"
-    return SolverConfig(
-        target_rank=spec.rank,
-        iterations=spec.iterations,
-        epsilon=spec.epsilon,
-        coherence_budget=spec.mu0,
-        variant=variant,
-        seed=run_seed,
-    )
 
 
 def run_algorithm(spec, algo, observed, omega, truth, run_seed):
@@ -152,7 +133,14 @@ def run_algorithm(spec, algo, observed, omega, truth, run_seed):
     """
     try:
         if algo != "tnn-admm":
-            cfg = _solver_config(spec, algo, run_seed)
+            cfg = SolverConfig(
+                target_rank=spec.rank,
+                iterations=spec.iterations,
+                epsilon=spec.epsilon,
+                coherence_budget=spec.mu0,
+                variant="full" if algo == "altmin-full" else "simplified",
+                seed=run_seed,
+            )
             return tubal_alt_min(observed, omega, cfg, ground_truth=truth)
         if spec.lam is not None:
             lams, state = [spec.lam], None
@@ -164,9 +152,7 @@ def run_algorithm(spec, algo, observed, omega, truth, run_seed):
         total = 0
         path_start = time.perf_counter()
         for lam in lams:
-            cfg = AdmmConfig(
-                lam=float(lam), alpha=spec.alpha, max_iters=spec.admm_iterations
-            )
+            cfg = AdmmConfig(lam=float(lam), alpha=spec.alpha)
             offset = time.perf_counter() - path_start
             report = admm_complete(
                 observed, omega, cfg, ground_truth=truth, start=state
@@ -191,46 +177,45 @@ def _instance(spec, rate, rep):
     return truth, project(truth, omega), omega, base
 
 
+def _runs(cases):
+    """For each case (spec, rate, rep), build its instance once and run every
+    algorithm of the spec on it.  Yields (spec, rate, rep, algorithm, result,
+    wall seconds), where result is the report or the `TubalError` raised."""
+    for spec, rate, rep in cases:
+        truth, observed, omega, base = _instance(spec, rate, rep)
+        for algo in spec.algorithms:
+            start = time.perf_counter()
+            try:
+                result = run_algorithm(
+                    spec, algo, observed, omega, truth, base.derive(algo)
+                )
+            except TubalError as exc:
+                result = exc
+            yield spec, rate, rep, algo, result, time.perf_counter() - start
+
+
 def run_recovery_sweep(spec):
     """Final RSE per (algorithm, rate, repetition) plus per-rate means."""
+    reps = range(spec.repetitions)
+    cases = [(spec, rate, rep) for rate in spec.rates for rep in reps]
     rows = []
-    for rate in spec.rates:
-        for rep in range(spec.repetitions):
-            truth, observed, omega, base = _instance(spec, rate, rep)
-            for algo in spec.algorithms:
-                start = time.perf_counter()
-                try:
-                    report = run_algorithm(
-                        spec, algo, observed, omega, truth, base.derive(algo)
-                    )
-                    final = report.rse[-1]
-                    elapsed = report.seconds[-1]
-                    iters = report.path_iterations or len(report.rse)
-                except TubalError:
-                    final = float("nan")
-                    elapsed = time.perf_counter() - start
-                    iters = 0
-                rows.append(TraceRow(algo, rate, rep, iters, final, elapsed))
-
-    os.makedirs(spec.out_dir, exist_ok=True)
-    write_csv(
-        os.path.join(spec.out_dir, "sweep.csv"), CSV_HEADER, [r.as_list() for r in rows]
-    )
-    means = {}
-    for algo in spec.algorithms:
-        for rate in spec.rates:
-            values = [
-                row.rse
-                for row in rows
-                if row.algorithm == algo and row.rate == rate and not np.isnan(row.rse)
-            ]
-            # nan, without numpy's empty-mean warning, when every run failed
-            means[(algo, rate)] = float(np.mean(values)) if values else float("nan")
-    write_csv(
-        os.path.join(spec.out_dir, "sweep_summary.csv"),
-        ["algorithm", "rate", "mean_rse"],
-        [[algo, repr(rate), repr(mean)] for (algo, rate), mean in sorted(means.items())],
-    )
+    for _, rate, rep, algo, report, wall in _runs(cases):
+        if isinstance(report, TubalError):
+            iters, final, secs = 0, float("nan"), wall
+        else:
+            iters = report.path_iterations or len(report.rse)
+            final, secs = report.rse[-1], report.seconds[-1]
+        rows.append(TraceRow(algo, rate, rep, iters, final, secs))
+    write_csv(spec.out_dir, "sweep.csv", CSV_HEADER, rows)
+    finals = {(algo, rate): [] for algo in spec.algorithms for rate in spec.rates}
+    for row in rows:
+        if not np.isnan(row.rse):
+            finals[(row.algorithm, row.rate)].append(row.rse)
+    # nan, without numpy's empty-mean warning, when every run failed
+    means = {key: float(np.mean(v)) if v else float("nan") for key, v in finals.items()}
+    summary = [(*key, mean) for key, mean in sorted(means.items())]
+    header = ["algorithm", "rate", "mean_rse"]
+    write_csv(spec.out_dir, "sweep_summary.csv", header, summary)
     return rows, means
 
 
@@ -239,60 +224,40 @@ def run_convergence(spec):
     rate = spec.rates[0]
     rows = []
     slopes = {}
-    for rep in range(spec.repetitions):
-        truth, observed, omega, base = _instance(spec, rate, rep)
-        for algo in spec.algorithms:
-            report = run_algorithm(
-                spec, algo, observed, omega, truth, base.derive(algo)
-            )
-            for it, (value, secs) in enumerate(zip(report.rse, report.seconds)):
-                rows.append(TraceRow(algo, rate, rep, it, value, secs))
-            if rep == 0:
-                slopes[algo] = (report.slope, report.intercept)
-    os.makedirs(spec.out_dir, exist_ok=True)
-    write_csv(
-        os.path.join(spec.out_dir, "converge.csv"), CSV_HEADER, [r.as_list() for r in rows]
-    )
-    write_csv(
-        os.path.join(spec.out_dir, "converge_slopes.csv"),
-        ["algorithm", "slope", "intercept"],
-        [[algo, repr(slope), repr(icpt)] for algo, (slope, icpt) in slopes.items()],
-    )
+    cases = [(spec, rate, rep) for rep in range(spec.repetitions)]
+    for _, _, rep, algo, report, _ in _runs(cases):
+        if isinstance(report, TubalError):
+            raise report
+        for it, (value, secs) in enumerate(zip(report.rse, report.seconds)):
+            rows.append(TraceRow(algo, rate, rep, it, value, secs))
+        if rep == 0:
+            slopes[algo] = (report.slope, report.intercept)
+    write_csv(spec.out_dir, "converge.csv", CSV_HEADER, rows)
+    # str, so that a trace that cannot be fitted reads None, not csv's empty field
+    fits = [(algo, str(slope), str(icpt)) for algo, (slope, icpt) in slopes.items()]
+    header = ["algorithm", "slope", "intercept"]
+    write_csv(spec.out_dir, "converge_slopes.csv", header, fits)
     return rows, slopes
 
 
 def run_runtime_scaling(spec):
-    """Wall-clock seconds until the RSE threshold, per size and algorithm."""
-    if any(size < spec.rank for size in spec.sizes):
-        raise ValueError(f"sizes {spec.sizes} must all be >= rank {spec.rank}")
+    """Wall-clock seconds until the RSE threshold, per size and algorithm.
+
+    Each size runs an m = n = size copy of `spec`; all copies are built, and
+    so checked, before the first solve.  Rows are (algorithm, size, seconds,
+    reached), with reached 0 or 1."""
     rate = spec.rates[0]
+    cases = [(replace(spec, m=size, n=size), rate, 0) for size in spec.sizes]
     results = []
-    for size in spec.sizes:
-        sized = replace(spec, m=size, n=size)
-        truth, observed, omega, base = _instance(sized, rate, 0)
-        for algo in spec.algorithms:
-            try:
-                report = run_algorithm(
-                    sized, algo, observed, omega, truth, base.derive(algo)
-                )
-            except TubalError:
-                results.append((algo, size, float("nan"), False))
-                continue
-            reached = [
-                secs
-                for value, secs in zip(report.rse, report.seconds)
-                if value <= spec.threshold
-            ]
-            if reached:
-                results.append((algo, size, reached[0], True))
-            else:
-                results.append((algo, size, report.seconds[-1], False))
-    os.makedirs(spec.out_dir, exist_ok=True)
-    write_csv(
-        os.path.join(spec.out_dir, "scale.csv"),
-        ["algorithm", "size", "seconds", "reached"],
-        [[algo, size, repr(secs), int(hit)] for algo, size, secs, hit in results],
-    )
+    for sized, _, _, algo, report, _ in _runs(cases):
+        if isinstance(report, TubalError):
+            results.append((algo, sized.m, float("nan"), 0))
+            continue
+        hits = [s for v, s in zip(report.rse, report.seconds) if v <= spec.threshold]
+        secs = hits[0] if hits else report.seconds[-1]
+        results.append((algo, sized.m, secs, int(bool(hits))))
+    header = ["algorithm", "size", "seconds", "reached"]
+    write_csv(spec.out_dir, "scale.csv", header, results)
     return results
 
 

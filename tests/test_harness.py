@@ -18,6 +18,7 @@ from tubalkit.harness import (
     run_convergence,
     run_recovery_sweep,
     run_runtime_scaling,
+    write_csv,
     write_tensor,
 )
 from tubalkit.sampling import RngSeed, sample_bernoulli, write_sample_set
@@ -141,7 +142,7 @@ def test_recovery_sweep_outputs(tmp_path):
 
 def drop_seconds(rows):
     # everything except the wall-clock column must be reproducible
-    return [r.as_list()[:5] for r in rows]
+    return [r[:5] for r in rows]
 
 
 def test_recovery_sweep_deterministic(tmp_path):
@@ -205,11 +206,89 @@ def test_runtime_scaling_outputs(tmp_path):
     assert table[0] == ["algorithm", "size", "seconds", "reached"]
 
 
-def test_trace_row_formatting():
+def test_trace_row_formatting(tmp_path):
+    # rows are written as they are: csv writes a float as its repr
     row = TraceRow("altmin-simple", 0.5, 0, 3, 1.25e-7, 0.125)
-    rendered = row.as_list()
-    assert rendered[1] == "0.5"
-    assert rendered[4] == "1.25e-07"
+    write_csv(str(tmp_path / "new"), "trace.csv", CSV_HEADER, [row])
+    assert (tmp_path / "new" / "trace.csv").read_bytes() == (
+        b"algorithm,rate,rep,iter,rse,seconds\r\n"
+        b"altmin-simple,0.5,0,3,1.25e-07,0.125\r\n"
+    )
+
+
+def test_unfitted_slope_reads_none(tmp_path):
+    # one iteration gives a one-point trace, which has no fitted line
+    _, slopes = run_convergence(tiny_spec(tmp_path, iterations=1))
+    assert slopes == {"altmin-simple": (None, None)}
+    table = read_csv(tmp_path / "converge_slopes.csv")
+    assert table[1] == ["altmin-simple", "None", "None"]
+
+
+def test_runtime_scaling_records_failed_runs(tmp_path, monkeypatch):
+    def broken_svt(t, eps):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(tnn_admm, "svt", broken_svt)
+    spec = tiny_spec(
+        tmp_path,
+        algorithms=("tnn-admm", "altmin-simple"),
+        rates=[0.9],
+        sizes=[8, 12],
+        threshold=1e-4,
+        iterations=10,
+    )
+    results = run_runtime_scaling(spec)
+    assert [(algo, size) for algo, size, _, _ in results] == [
+        ("tnn-admm", 8), ("altmin-simple", 8), ("tnn-admm", 12), ("altmin-simple", 12)
+    ]
+    for algo, size, secs, reached in results:
+        if algo == "tnn-admm":
+            assert np.isnan(secs) and reached == 0
+        else:
+            assert secs > 0 and reached == 1
+    table = read_csv(tmp_path / "scale.csv")
+    assert [line[2:] for line in table[1::2]] == [["nan", "0"], ["nan", "0"]]
+
+
+def test_each_instance_is_built_once_for_all_algorithms(tmp_path, monkeypatch):
+    built = []
+    instance = harness._instance
+
+    def counted(*args):
+        built.append(args[1:])
+        return instance(*args)
+
+    monkeypatch.setattr(harness, "_instance", counted)
+    algorithms = ("altmin-simple", "altmin-full")
+    sweep = tiny_spec(tmp_path, rates=[1.0, 0.8], repetitions=2, algorithms=algorithms)
+    rows, _ = run_recovery_sweep(sweep)
+    assert len(rows) == 8
+    assert built == [(1.0, 0), (1.0, 1), (0.8, 0), (0.8, 1)]
+    built.clear()
+    scale = tiny_spec(tmp_path, rates=[0.9], sizes=[8, 12], algorithms=algorithms)
+    assert len(run_runtime_scaling(scale)) == 4
+    assert built == [(0.9, 0), (0.9, 0)]
+
+
+def test_runtime_scaling_checks_every_size_before_solving(tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(harness, "_instance", never)
+    with pytest.raises(ValueError, match="rank 3 outside"):
+        run_runtime_scaling(tiny_spec(tmp_path / "out", rank=3, sizes=[8, 2]))
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_scale_rank_is_bounded_by_sizes_only(tmp_path):
+    # m and n are each of --sizes; no other m, n can refuse the rank
+    args = ["--iters", "1", "--out", str(tmp_path)]
+    assert cli.main(["scale", "--tube", "3", "--rank", "3", "--sizes", "10,14", *args]) == 0
+    sizes = [line[1] for line in read_csv(tmp_path / "scale.csv")[1:]]
+    assert sizes == ["10", "14"]
+    assert cli.main(["scale", "--tube", "2", "--rank", "60", "--sizes", "64,80", *args]) == 0
+    sizes = [line[1] for line in read_csv(tmp_path / "scale.csv")[1:]]
+    assert sizes == ["64", "80"]
 
 
 def test_complete_file_round_trip(tmp_path):
@@ -378,7 +457,7 @@ def test_cli_exit_codes(tmp_path):
         (["gen", "--rank", "0"], "rank"),
         (["sweep", "--size", "8,8,2", "--rank", "9"], "rank"),
         (["sweep", "--size", "5,5,0"], "size m,n,k"),
-        (["scale", "--size", "8,8,2", "--rank", "3", "--sizes", "2,8"], "sizes"),
+        (["scale", "--tube", "2", "--rank", "11", "--sizes", "10,14"], "rank"),
     ],
     ids=["gen-size", "gen-rank", "sweep-rank", "sweep-empty-tube", "scale-sizes"],
 )
@@ -411,9 +490,11 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path):
     io = ["--input", str(tensor_path), "--output", str(tmp_path / "o.t3b")]
     gen = ["gen", "--file", str(tmp_path / "g.t3b")]
     run = ["--size", "6,6,2", "--rank", "1", "--out", str(tmp_path)]
+    scale = ["scale", "--tube", "2", "--rank", "1", "--out", str(tmp_path)]
     for argv in (
         [*gen, "--iters", "3"],
-        ["scale", *run, "--reps", "3"],
+        [*scale, "--reps", "3"],
+        [*scale, "--size", "6,6,2"],
         ["complete", *io, "--size", "4,4,2"],
     ):
         with pytest.raises(SystemExit) as exc:
@@ -422,7 +503,7 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path):
     # one value is read; a second one is refused, not ignored
     for argv in (
         ["converge", *run, "--rates", "0.3,0.5"],
-        ["scale", *run, "--rates", "0.3,0.5", "--sizes", "6"],
+        [*scale, "--rates", "0.3,0.5", "--sizes", "6"],
         ["complete", *io, "--rates", "0.3,0.5"],
         ["complete", *io, "--algo", "altmin-simple", "--algo", "tnn-admm"],
     ):

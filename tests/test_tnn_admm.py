@@ -273,6 +273,6 @@ def test_warm_lambda_path_matches_cold_optimum(monkeypatch):
         )
         assert len(exact.rse) < 20000
         assert frobenius_norm(warm.estimate - exact.estimate) <= 1e-5 * scale
-    assert len(runs[-1][1].rse) < spec.admm_iterations  # smallest λ converged
-    assert all(len(warm.rse) < spec.admm_iterations for _, warm in runs)
+    assert len(runs[-1][1].rse) < AdmmConfig.max_iters  # smallest λ converged
+    assert all(len(warm.rse) < AdmmConfig.max_iters for _, warm in runs)
     assert sum(len(warm.rse) for _, warm in runs) < cold_iters
