@@ -39,14 +39,16 @@ from .tls import _Plan, ls_solve_x, ls_solve_y, median_ls, median_ls_x
 from .tsvd import top_r_eigenslices
 
 STALL_TOL = 1e-12  # a stall: the error moved less over `stall_window` steps
+# The full variant's smooth-QR step eps and coherence budget mu0.  Coherence
+# is at most rows/r, so smooth QR perturbs no factor with fewer than 1e6*r rows.
+SMOOTH_QR_EPS = 0.01
+COHERENCE_BUDGET = 1e6
 
 
 @dataclass
 class SolverConfig:
     target_rank: int
     iterations: int = 10
-    epsilon: float = 0.01
-    coherence_budget: float = 1e6
     variant: str = "simplified"
     seed: RngSeed = field(default_factory=lambda: RngSeed(0, "altmin"))
     stop_rse: float | None = None
@@ -57,10 +59,6 @@ class SolverConfig:
             raise ValueError("target_rank must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.coherence_budget < 1:
-            raise ValueError("coherence_budget must be >= 1")
         if self.variant not in ("simplified", "full"):
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -232,9 +230,7 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
         parts = split(omega_plus, cfg.iterations, cfg.seed.derive("split-iters"))
         if omega0.size == 0 or any(part.size == 0 for part in parts):
             raise InsufficientSamples("a split subset is empty")
-        x = initialize(
-            project(observed, omega0), omega0, r, cfg.coherence_budget, cfg.seed
-        )
+        x = initialize(project(observed, omega0), omega0, r, COHERENCE_BUDGET, cfg.seed)
 
         def solve_y(part, x, seed):
             return median_ls(observed, part, x, seed)
@@ -243,7 +239,7 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
             return median_ls_x(observed, part, y, seed)
 
         def reorth(z, seed):
-            return smooth_qr(z, cfg.epsilon, cfg.coherence_budget, seed)[0]
+            return smooth_qr(z, SMOOTH_QR_EPS, COHERENCE_BUDGET, seed)[0]
 
     rse_trace = []
     seconds = []

@@ -40,8 +40,6 @@ OPTIONS = {
     "rates": dict(type=_csv(float), help="csv list in (0,1]"),
     "algo": dict(dest="algorithms", action="append", choices=harness.ALGORITHMS),
     "iters": dict(dest="iterations", type=int),
-    "mu0": dict(type=float),
-    "eps": dict(dest="epsilon", type=float),
     "lambda": dict(dest="lam", type=float),
     "alpha": dict(type=float, help="ADMM penalty; unset: the sampling rate"),
     "seed": dict(type=int),
@@ -55,7 +53,7 @@ OPTIONS = {
     "mask": dict(help="sample-set text file"),
 }
 PATHS = ("file", "input", "output", "mask")  # the dests that are not spec fields
-SOLVE = "rank rates algo iters mu0 eps lambda alpha seed"
+SOLVE = "rank rates algo iters lambda alpha seed"
 COMMANDS = {
     "gen": ("synthesize a low-tubal-rank instance", "size rank seed file"),
     "sweep": ("final RSE vs sampling rate", f"size {SOLVE} reps out"),

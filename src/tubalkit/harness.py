@@ -78,8 +78,6 @@ class ExperimentSpec:
     rates: list = field(default_factory=lambda: [0.5])
     algorithms: tuple = ("altmin-simple",)
     iterations: int = 15
-    epsilon: float = SolverConfig.epsilon
-    mu0: float = SolverConfig.coherence_budget
     lam: float | None = None
     alpha: float | None = None
     seed: int = 0
@@ -136,8 +134,6 @@ def run_algorithm(spec, algo, observed, omega, truth, run_seed):
             cfg = SolverConfig(
                 target_rank=spec.rank,
                 iterations=spec.iterations,
-                epsilon=spec.epsilon,
-                coherence_budget=spec.mu0,
                 variant="full" if algo == "altmin-full" else "simplified",
                 seed=run_seed,
             )

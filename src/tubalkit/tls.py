@@ -36,12 +36,15 @@ SINGULAR_TOL = 1e-10
 BLOCK_BYTES = 512 * 1024
 
 
-def circulant_rows(factor, sign):
+def circulant_rows(factor, sign, out=None):
     """(p*k, r*k) matrix whose row (i, kappa) and column (s, sigma) hold
-    factor[i, s, (sigma + sign * kappa) mod k]."""
+    factor[i, s, (sigma + sign * kappa) mod k]; `out`, if given, is contiguous."""
     p, r, k = factor.shape
-    idx = (np.arange(k)[None, :] + sign * np.arange(k)[:, None]) % k
-    return factor[:, :, idx].transpose(0, 2, 1, 3).reshape(p * k, r * k)
+    shift = (np.arange(k) + sign * np.arange(k)[:, None]) % k  # [kappa, sigma]
+    cols = (k * np.arange(r)[:, None] + shift[:, None]).reshape(k, r * k)
+    out = np.empty((p * k, r * k)) if out is None else out
+    np.take(factor.reshape(p, r * k), cols, 1, out.reshape(p, k, r * k), mode="clip")
+    return out
 
 
 def _pivot_singular(gram):
@@ -70,14 +73,16 @@ def _blocks(n, step):
 
 
 class _Plan:
-    """What depends on Omega only, for one direction and q = r*k unknowns:
-    the np.flatnonzero list of observed entries in (slice, row) layout,
-    sorted by subset `labels`, each system's segment of it, the routes and
-    blocks, and the buffers the solves reuse."""
+    """What depends on Omega and the observed values, for one direction and
+    q = r*k unknowns: the np.flatnonzero list of entries in (slice, row)
+    layout, sorted by subset `labels`, each system's segment of it, the
+    routes and blocks, and the buffers the solves reuse (circulant rows too)."""
 
     def __init__(self, observed, omega, q, y_update, labels=None, t=1):
+        if np.shape(observed) != omega.dims:
+            raise DimensionMismatch(f"observed {np.shape(observed)} vs omega {omega.dims}")
         # slices along axis 0, each slice's rows (i or j, kappa) flattened
-        layout = (lambda a: np.swapaxes(a, 0, 1)) if y_update else (lambda a: a)
+        layout = (lambda a: np.swapaxes(a, 0, 1)) if y_update else np.asarray
         mask = layout(omega.mask)
         slices, size = mask.shape[0], mask[0].size
         entry = np.flatnonzero(mask)
@@ -92,7 +97,8 @@ class _Plan:
             pos, values = pos[order], values[order]
         count = np.bincount(system, minlength=t * slices)
         start = np.cumsum(count) - count
-        self.q, self.y_update, self.shape = q, y_update, (t, slices)
+        self.q, self.y_update, self.shape, self.dims = q, y_update, (t, slices), omega.dims
+        self.rows = np.zeros((size + 1, q))  # circulant rows, then a zero row
         # h >= q: blocks of systems, each with its segment of the entries
         tall = np.flatnonzero(count >= q)
         step = max(1, BLOCK_BYTES // (8 * q * q))
@@ -116,56 +122,50 @@ class _Plan:
                      for s in _blocks(len(wide), step)]
 
 
-def _half_step(observed, omega, factor, y_update, labels=None, t=1, plan=None):
-    """Solutions (t, slices, r, k) of every (subset, slice) system; Omega's
-    entries, in row-major order, fall in subsets `labels` (None: one), and
-    a given `plan` must come from the same observed, omega, labels and t."""
-    observed, factor = _check3(observed), _check3(factor)
-    if observed.shape != omega.dims:
-        raise DimensionMismatch(f"tensor {observed.shape} vs sample set {omega.dims}")
-    name, axis = ("x", 0) if y_update else ("y", 1)
-    if observed.shape[axis] != factor.shape[0] or observed.shape[2] != factor.shape[2]:
-        raise DimensionMismatch(f"observed {observed.shape} vs {name} {factor.shape}")
-    q = factor.shape[1] * factor.shape[2]
-    plan = plan or _Plan(observed, omega, q, y_update, labels, t)
-    if (plan.q, plan.y_update) != (q, y_update):
-        raise DimensionMismatch(f"plan for q={plan.q} vs {name} {factor.shape}")
-    rows = circulant_rows(factor, 1 if y_update else -1)
-    sol = np.zeros((math.prod(plan.shape), q))
-    # h >= q: batched normal equations, minimum-norm where a Cholesky pivot
-    # says singular; mode="clip" lets take write straight into `kept`
+def _half_step(plan, factor, y_update):
+    """Solutions (t, slices, r, k) of every system of `plan`, given `factor`."""
+    circulant_rows(factor, 1 if y_update else -1, out=plan.rows[:-1])
+    sol = np.zeros((math.prod(plan.shape), plan.q))
+    # h >= q: batched normal equations; only mode="clip" lets take skip a temporary
     for block, segments in plan.tall:
         gram, rhs = plan.gram[: len(block)], plan.rhs[: len(block)]
         for b, (pos, values) in enumerate(segments):
-            kept = rows.take(pos, axis=0, out=plan.kept[: len(pos)], mode="clip")
+            kept = plan.rows.take(pos, axis=0, out=plan.kept[: len(pos)], mode="clip")
             np.dot(kept.T, kept, out=gram[b])
             np.dot(values, kept, out=rhs[b])
         singular = _pivot_singular(gram)
-        if not singular.any():
-            sol[block] = np.linalg.solve(gram, rhs[..., None])[..., 0]
-            continue
-        ok = ~singular
+        ok = ~singular if singular.any() else slice(None)  # a slice copies nothing
         sol[block[ok]] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]
-        sol[block[singular]] = _pinv_apply(gram[singular], rhs[singular])
+        if singular.any():
+            sol[block[singular]] = _pinv_apply(gram[singular], rhs[singular])
     # 0 < h < q: the minimum-norm K^T (K K^T)^+ b from the h x h row Grams
-    rows = np.vstack([rows, np.zeros((1, q))]) if plan.wide else rows
     for systems, index, rhs in plan.wide:
-        kept = rows[index]
+        kept = plan.rows[index]
         coef = _pinv_apply(kept @ kept.transpose(0, 2, 1), rhs)
         sol[systems] = (coef[:, None, :] @ kept)[:, 0]
     return sol.reshape(plan.shape + factor.shape[1:])
 
 
+def _solve(observed, omega, factor, y_update, plan=None, labels=None, t=1):
+    factor = _check3(factor)
+    p, r, k = factor.shape
+    plan = plan or _Plan(observed, omega, r * k, y_update, labels, t)
+    want = (omega.dims, y_update, (p * k + 1, r * k), k)
+    if (plan.dims, plan.y_update, plan.rows.shape, omega.dims[2]) != want:
+        raise DimensionMismatch(f"{omega.dims} vs factor {factor.shape}, plan {plan.dims}")
+    return _half_step(plan, factor, y_update)
+
+
 def ls_solve_y(observed, omega, x, *, plan=None):
     """Minimize ||P_Omega(T - X * Y^dag)||_F^2 over Y (n, r, k); entries of
     `observed` outside Omega are ignored.  `plan`: `_Plan(..., r*k, True)`."""
-    return _half_step(observed, omega, x, True, plan=plan)[0]
+    return _solve(observed, omega, x, True, plan)[0]
 
 
 def ls_solve_x(observed, omega, y, *, plan=None):
     """The same over X (m, r, k): horizontal slices, circulant rows of y at
     sign -1, and `plan` from `_Plan(observed, omega, r*k, False)`."""
-    return _half_step(observed, omega, y, False, plan=plan)[0]
+    return _solve(observed, omega, y, False, plan)[0]
 
 
 def median_count(n):
@@ -176,12 +176,12 @@ def median_count(n):
 def median_ls(observed, omega, x, seed, t=None):
     """Element-wise median of per-subset Y solutions over a split of Omega."""
     t = t if t is not None else median_count(observed.shape[1])
-    sols = _half_step(observed, omega, x, True, split_labels(omega, t, seed), t)
+    sols = _solve(observed, omega, x, True, None, split_labels(omega, t, seed), t)
     return np.median(sols, axis=0)
 
 
 def median_ls_x(observed, omega, y, seed, t=None):
     """Median wrapper for the transposed X update."""
     t = t if t is not None else median_count(observed.shape[0])
-    sols = _half_step(observed, omega, y, False, split_labels(omega, t, seed), t)
+    sols = _solve(observed, omega, y, False, None, split_labels(omega, t, seed), t)
     return np.median(sols, axis=0)

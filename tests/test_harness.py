@@ -2,8 +2,10 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import struct
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -484,6 +486,18 @@ def test_parser_dests_are_spec_fields_without_defaults():
             assert action.default is None, (name, action.option_strings)
 
 
+def test_readme_flag_table_lists_each_subcommands_flags():
+    # README's "| `sweep`, `converge` | `--size --rank ...` |" rows
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| (`\w+`(?:, `\w+`)*) \| (`--.*`) \|$", text, re.MULTILINE)
+    listed = {}
+    for commands, flags in rows:
+        for command in re.findall(r"`(\w+)`", commands):
+            assert command not in listed, command
+            listed[command] = re.findall(r"--(\w+)", flags)
+    assert listed == {name: flags.split() for name, (_, flags) in cli.COMMANDS.items()}
+
+
 def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path):
     tensor_path = tmp_path / "t.t3b"
     write_tensor(tensor_path, np.ones((4, 4, 2)))
@@ -496,6 +510,8 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path):
         [*scale, "--reps", "3"],
         [*scale, "--size", "6,6,2"],
         ["complete", *io, "--size", "4,4,2"],
+        ["sweep", *run, "--eps", "0.1"],
+        ["complete", *io, "--mu0", "5"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -583,6 +583,9 @@ def test_dimension_mismatch_errors():
         ls_solve_x(t, omega, np.zeros((4, 2, 3)), plan=plan)
     with pytest.raises(DimensionMismatch):
         ls_solve_y(t, omega, np.zeros((4, 3, 3)), plan=plan)
+    # a plan for another sample set, though its x and rank fit, is refused
+    with pytest.raises(DimensionMismatch):
+        ls_solve_y(np.zeros((4, 6, 3)), full_set(4, 6, 3), np.zeros((4, 2, 3)), plan=plan)
 
 
 def dense_solve_tall(rows, masks, values, count, sol):
