@@ -138,9 +138,10 @@ def run_algorithm(spec, algo, observed, omega, truth, run_seed):
                 seed=run_seed,
             )
             return tubal_alt_min(observed, omega, cfg, ground_truth=truth)
+        observed = sampling.check_observed(observed, omega)  # lambda grid and start read P_Omega Y
         if spec.lam is not None:
             lams, state = [spec.lam], None
-        elif not np.any(project(observed, omega)):  # every grid lambda would be 0
+        elif not np.any(observed):  # every grid lambda would be 0
             raise InsufficientSamples("no nonzero observation to scale the lambda grid")
         else:  # the top lambda's optimum: z = 0 with multiplier q = P_Omega Y
             lams = lambda_grid(observed)[::-1]

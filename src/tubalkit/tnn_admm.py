@@ -11,6 +11,11 @@ A run stops on its primal and dual residuals (Boyd et al. 2011), scaled by
 ||P_Omega Y|| rather than by ||X|| or ||Z||, so the run at lambda =
 spectral norm, whose optimum is Z = 0, stops too.  A run can start from an
 earlier run's final (Z, Q), which warm-starts a decreasing lambda path.
+
+Within a run, each `svt` call is warm-started from the previous call's
+leading right singular vectors (Yao & Kwok 2015): a few power steps and one
+Rayleigh-Ritz step replace the full SVD when they provably give the same
+thresholded slices, checked on every call; the full SVD is the fallback.
 """
 
 import time
@@ -30,6 +35,10 @@ from .errors import DimensionMismatch, InsufficientSamples
 from .sampling import check_observed
 
 GRID_POINTS = 5  # candidate weights in lambda_grid
+OVERSAMPLE = 4  # warm-basis columns beyond the kept rank
+MAX_BLOCK = 8  # widest warm basis; wider warm attempts cost more than an SVD
+POWER_STEPS = 6  # most power steps one warm svt call takes
+RITZ_TOL = 1e-13  # kept Ritz triplets' residual, relative to their slice's top value
 
 
 @dataclass
@@ -53,27 +62,82 @@ def tnn(t):
     return float(freq_weights(t.shape[2]) @ sv.sum(axis=1))
 
 
-def svt(t, eps):
+def _ct(a):
+    """Conjugate transpose of every matrix in a stack."""
+    return a.conj().swapaxes(1, 2)
+
+
+def _ritz(f, eps, q, steps):
+    """Ritz triplets (u, s, vh) of the slices f on the block q if they pass
+    svt's checks, else None; and the power steps the next call starts with.
+    Each failed residual check adds a step, up to POWER_STEPS, unless its
+    rate of decrease cannot reach RITZ_TOL by then."""
+    last = np.inf
+    for step in range(POWER_STEPS + 1):
+        b = f @ q
+        if step < steps:
+            q = np.linalg.qr(_ct(_ct(b) @ f))[0]
+            continue
+        ub, s, wh = np.linalg.svd(b, full_matrices=False)
+        vh = wh @ _ct(q)  # f @ vh^H == ub * s
+        kept = s > eps
+        r = int(kept.sum(axis=1).max())
+        if r + OVERSAMPLE > s.shape[1]:
+            break
+        g = _ct(_ct(ub) @ f)  # == vh^H * s for exact triplets; spans f^H f q
+        miss = np.linalg.norm(g - _ct(vh) * s[:, None], axis=1)
+        err = np.divide(miss, s[:, :1], out=np.zeros_like(s), where=kept).max()
+        if err <= RITZ_TOL:
+            rest = (ub[:, :, :r] * np.where(kept, s, 0)[:, None, :r]) @ vh[:, :r]
+            np.subtract(f, rest, out=rest)
+            scale = float(np.linalg.norm(rest)) or 1.0
+            rest *= 1 / scale  # keeps (R^H R)^4 finite
+            gram = _ct(rest) @ rest
+            square = gram @ gram
+            # one norm per slice: norm(axis=(1, 2)) makes stack-sized temporaries
+            top = max(map(np.linalg.norm, np.matmul(square, square, out=gram)))
+            return ((ub, s, vh) if scale * top**0.125 <= eps else None), step
+        if err * (err / last) ** (POWER_STEPS - step) > RITZ_TOL:
+            break
+        last = err
+        q = np.linalg.qr(g * s[:, None])[0]
+    return None, steps
+
+
+def svt(t, eps, *, basis=None):
     """Soft-threshold the singular values of every frequency slice by eps.
 
-    Returns (z, tnn_z): the thresholded tensor and its tensor nuclear norm,
-    summed from the thresholded singular values, so callers that need both
-    pay for one batched SVD.  z is rebuilt from the leading r singular
+    Returns (z, tnn_z, basis): the thresholded tensor, its tensor nuclear
+    norm summed from the thresholded values, and the next call's warm start
+    (the leading r + OVERSAMPLE right singular vectors per slice, None past
+    MAX_BLOCK, and a power-step count).  z is rebuilt from the leading r
     triplets only, r being the most values any slice keeps.
+
+    `basis=None` takes a full SVD.  With a basis, the Ritz triplets of its
+    block are kept only if r + OVERSAMPLE fits in it, each kept triplet's
+    residual ||f^H u - s v|| is at most RITZ_TOL times its slice's top value,
+    and sigma_max(R) <= ||(R^H R)^4||_F^(1/8) <= eps for the rest R of every
+    slice; else the full SVD runs.  Soft thresholding is nonexpansive, so z
+    is then within sqrt(r) * RITZ_TOL * s_1 per slice of the full-SVD result.
     """
     if eps < 0:
         raise ValueError("threshold must be nonnegative")
     t = _check3(t)
     k = t.shape[2]
-    u, s, vh = np.linalg.svd(freq_slices(t), full_matrices=False)
+    f = freq_slices(t)
+    ritz, steps = (None, 0) if basis is None else _ritz(f, eps, *basis)
+    u, s, vh = ritz or np.linalg.svd(f, full_matrices=False)
     s = np.maximum(s - eps, 0.0)
     r = int(np.count_nonzero(s, axis=1).max())
     z = from_freq_slices((u[:, :, :r] * s[:, None, :r]) @ vh[:, :r], k)
-    return z, float(freq_weights(k) @ s.sum(axis=1))
+    width = r + OVERSAMPLE
+    basis = (_ct(vh[:, :width]), steps) if width <= min(MAX_BLOCK, s.shape[1]) else None
+    return z, float(freq_weights(k) @ s.sum(axis=1)), basis
 
 
 def lambda_grid(observed):
-    """Geometric grid of GRID_POINTS weights, [1e-3, 1] x spectral norm."""
+    """Geometric grid of GRID_POINTS weights, [1e-3, 1] x the spectral norm
+    of `observed`, which callers pass as P_Omega Y."""
     return np.geomspace(1e-3, 1.0, GRID_POINTS) * spectral_norm(observed)
 
 
@@ -104,6 +168,7 @@ def admm_complete(observed, omega, cfg, ground_truth=None, start=None):
     seconds = []
     t0 = time.perf_counter()
     objective_trace = []
+    basis = None
     for _ in range(cfg.max_iters):
         x = np.where(
             mask,
@@ -111,7 +176,7 @@ def admm_complete(observed, omega, cfg, ground_truth=None, start=None):
             z - q / alpha,
         )
         z_prev = z
-        z, tnn_z = svt(x + q / alpha, cfg.lam / alpha)
+        z, tnn_z, basis = svt(x + q / alpha, cfg.lam / alpha, basis=basis)
         gap = x - z
         primal = np.linalg.norm(gap)
         q = q + alpha * gap

@@ -227,7 +227,7 @@ def test_unfitted_slope_reads_none(tmp_path):
 
 
 def test_runtime_scaling_records_failed_runs(tmp_path, monkeypatch):
-    def broken_svt(t, eps):
+    def broken_svt(t, eps, basis=None):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(tnn_admm, "svt", broken_svt)
@@ -580,9 +580,21 @@ def test_admm_path_keeps_last_run_without_reading_truth(tmp_path, monkeypatch):
         assert other.path_iterations == kept[-1].path_iterations
 
 
+def test_admm_path_reads_observed_only_on_omega(tmp_path):
+    # the lambda grid and the start multiplier once read the unprojected input:
+    # NaN off omega raised SolverBreakdown, and the full truth moved the estimate
+    spec = tiny_spec(tmp_path, m=12, n=12, k=3, rank=2, algorithms=("tnn-admm",))
+    truth, observed, omega, base = harness._instance(spec, 0.6, 0)
+    reference = harness.run_algorithm(spec, "tnn-admm", observed, omega, truth, base)
+    for unprojected in (np.where(omega.mask, truth, np.nan), truth):
+        report = harness.run_algorithm(spec, "tnn-admm", unprojected, omega, truth, base)
+        assert np.array_equal(report.estimate, reference.estimate)
+        assert report.path_iterations == reference.path_iterations
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lapack_failure_is_solver_breakdown(tmp_path, monkeypatch):
-    def broken_svt(t, eps):
+    def broken_svt(t, eps, basis=None):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(tnn_admm, "svt", broken_svt)

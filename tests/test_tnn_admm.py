@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tubalkit import harness
+from tubalkit import harness, tnn_admm
 from tubalkit.algebra import (
     circ_expand,
     freq_slices,
@@ -46,20 +46,20 @@ def test_tnn_matches_circ_nuclear_norm():
         t = rng.standard_normal((4, 4, k))
         nuc = np.sum(np.linalg.svd(circ_expand(t), compute_uv=False))
         assert abs(tnn(t) - nuc) < 1e-8
-        z, tnn_z = svt(t, 0.5)
+        z, tnn_z, _ = svt(t, 0.5)
         assert abs(tnn_z - tnn(z)) <= 1e-12 * tnn(z)
 
 
 def test_svt_zero_threshold_is_identity():
     t = np.random.default_rng(1).standard_normal((5, 4, 3))
-    z, tnn_z = svt(t, 0.0)
+    z, tnn_z, _ = svt(t, 0.0)
     assert np.allclose(z, t, atol=1e-10)
     assert np.isclose(tnn_z, tnn(t), rtol=1e-12)
 
 
 def test_svt_large_threshold_zeroes():
     t = np.random.default_rng(2).standard_normal((5, 4, 3))
-    out, tnn_out = svt(t, spectral_norm(t) + 1.0)
+    out, tnn_out, _ = svt(t, spectral_norm(t) + 1.0)
     assert np.max(np.abs(out)) < 1e-12
     assert tnn_out == 0.0
 
@@ -67,7 +67,7 @@ def test_svt_large_threshold_zeroes():
 def test_svt_hand_threshold():
     t = np.zeros((2, 2, 3))
     t[:, :, 0] = np.diag([3.0, 1.0])  # constant spectrum {3, 1}
-    out, tnn_out = svt(t, 2.0)
+    out, tnn_out, _ = svt(t, 2.0)
     expected = np.zeros_like(t)
     expected[:, :, 0] = np.diag([1.0, 0.0])
     assert np.allclose(out, expected, atol=1e-10)
@@ -85,9 +85,74 @@ def test_svt_truncated_rebuild_matches_full():
         for eps in (0.0, 0.3 * top, 0.8 * top, top, 2.0 * top):
             kept = np.maximum(s - eps, 0.0)
             full = from_freq_slices((u * kept[:, None, :]) @ vh, k)
-            z, tnn_z = svt(t, eps)
+            z, tnn_z, _ = svt(t, eps)
             assert frobenius_norm(z - full) <= 1e-15 * frobenius_norm(full)
             assert tnn_z == float(freq_weights(k) @ kept.sum(axis=1))
+
+
+def test_warm_svt_matches_full_svd_on_a_lambda_path(monkeypatch):
+    # replay every svt call of a real path, basis included, against the full SVD
+    truth, observed, omega = desk_instance()
+    calls, taken = [], []
+    ritz = tnn_admm._ritz
+
+    def recorded(t, eps, *, basis=None):
+        calls.append((t, eps, basis))
+        return svt(t, eps, basis=basis)
+
+    def spied(*args):
+        out = ritz(*args)
+        taken.append(out[0] is not None)
+        return out
+
+    monkeypatch.setattr(tnn_admm, "svt", recorded)
+    monkeypatch.setattr(tnn_admm, "_ritz", spied)
+    spec = harness.ExperimentSpec(m=30, n=30, k=6, rank=2)
+    harness.run_algorithm(spec, "tnn-admm", observed, omega, truth, None)
+    assert sum(taken) >= len(calls) // 2  # most calls keep their Ritz triplets
+    for t, eps, basis in calls:
+        z, tnn_z, _ = svt(t, eps, basis=basis)
+        full, tnn_full, _ = svt(t, eps)
+        assert frobenius_norm(z - full) <= 1e-12 * frobenius_norm(full)
+        assert abs(tnn_z - tnn_full) <= 1e-12 * tnn_full
+
+
+def spectrum_tensor(values, k=3, seed=8):
+    """Tensor whose every frequency slice is U diag(values) V^T."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((len(values), len(values))))
+    v, _ = np.linalg.qr(rng.standard_normal((len(values), len(values))))
+    t = np.zeros((len(values), len(values), k))
+    t[:, :, 0] = (u * values) @ v.T
+    return t
+
+
+def test_warm_svt_falls_back_when_kept_rank_outgrows_block():
+    tail = [0.5, 0.4, 0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1]
+    _, _, basis = svt(spectrum_tensor([10.0, 8.0, 0.6] + tail), 1.0)
+    assert basis[0].shape[2] == 2 + tnn_admm.OVERSAMPLE
+    t = spectrum_tensor([10.0, 8.0, 6.0] + tail)  # three kept values need 7 columns
+    assert tnn_admm._ritz(freq_slices(t), 1.0, *basis)[0] is None
+    z, tnn_z, wider = svt(t, 1.0, basis=basis)
+    full, tnn_full, _ = svt(t, 1.0)
+    assert np.array_equal(z, full) and tnn_z == tnn_full
+    assert wider[0].shape[2] == 3 + tnn_admm.OVERSAMPLE
+
+
+def test_warm_svt_falls_back_when_the_tail_bound_exceeds_eps():
+    # ten discarded values of 0.95 under eps = 1: (sum s^16)^(1/16) = 1.10
+    # cannot prove them below eps, so the call takes the full SVD; a tail of
+    # 0.5 passes (0.58), though its Frobenius norm 1.58 would not
+    for level, warm in ((0.95, False), (0.5, True)):
+        t = spectrum_tensor([10.0, 8.0] + [level] * 10)
+        _, _, basis = svt(t, 1.0)
+        assert (tnn_admm._ritz(freq_slices(t), 1.0, *basis)[0] is not None) == warm
+        z, tnn_z, _ = svt(t, 1.0, basis=basis)
+        full, tnn_full, _ = svt(t, 1.0)
+        if warm:
+            assert frobenius_norm(z - full) <= 1e-12 * frobenius_norm(full)
+        else:
+            assert np.array_equal(z, full) and tnn_z == tnn_full
 
 
 def test_svt_is_contraction():
