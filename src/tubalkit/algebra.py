@@ -7,7 +7,7 @@ scalars are length-k tubes under circular convolution, which the mode-3 DFT
 diagonalizes.  Forward DFT is unnormalized, the inverse carries the 1/k
 factor (numpy's fft/ifft convention).
 
-The t-product, t-inverse, t-SVD, tensor QR and singular value thresholding
+The t-product, t-SVD, tensor QR and singular value thresholding
 share one frequency-slice kernel: `freq_slices` gives the half spectrum as a
 (k//2+1, m, n) stack for batched numpy linalg calls, `from_freq_slices` maps
 it back.  The other slices are conjugates of these and are never computed.
@@ -15,14 +15,8 @@ it back.  The other slices are conjugates of these and are never computed.
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidEntries,
-    NotOrthonormal,
-    SingularFrequencySlice,
-)
+from .errors import DimensionMismatch, InvalidEntries, NotOrthonormal
 
-COND_LIMIT = 1e12  # tinv refuses a frequency slice less well conditioned
 ORTH_TOL = 1e-8  # coherence's per-entry orthonormality tolerance
 
 
@@ -92,39 +86,6 @@ def identity_tensor(n, k):
     out = np.zeros((n, n, k))
     out[:, :, 0] = np.eye(n)
     return out
-
-
-def tinv(t):
-    """t-product inverse of a square tensor via frequency-slice inversion."""
-    t = _check3(t)
-    n, n2, k = t.shape
-    if n != n2:
-        raise DimensionMismatch(f"tinv needs a square tensor, got {t.shape}")
-    ft = freq_slices(t)
-    sv = np.linalg.svd(ft, compute_uv=False)
-    # A slice and its conjugate partner share singular values, so the first
-    # bad half-spectrum slice is also the first bad one of all k.
-    bad = np.flatnonzero((sv[:, -1] == 0) | (sv[:, 0] > COND_LIMIT * sv[:, -1]))
-    if bad.size:
-        raise SingularFrequencySlice(int(bad[0]))
-    return from_freq_slices(np.linalg.inv(ft), k)
-
-
-def circ_expand(t):
-    """Expand a tensor to its (mk x nk) circular-matrix image.
-
-    Block (i, j) is the k x k circulant whose first column is tube (i, j, :).
-    Test oracle only: the t-product becomes ordinary matrix product here.
-    """
-    t = _check3(t)
-    m, n, k = t.shape
-    idx = (np.arange(k)[:, None] - np.arange(k)[None, :]) % k
-    blocks = t[:, :, idx]  # (m, n, k, k)
-    return blocks.transpose(0, 2, 1, 3).reshape(m * k, n * k)
-
-
-def frobenius_norm(t):
-    return float(np.linalg.norm(_check3(t)))
 
 
 def spectral_norm(t):

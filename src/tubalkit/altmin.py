@@ -19,7 +19,6 @@ from .algebra import (
     coherence,
     freq_slices,
     from_freq_slices,
-    frobenius_norm,
     spectral_norm,
     tprod,
     ttranspose,
@@ -31,6 +30,7 @@ from .errors import (
     EmptySampleSet,
     InsufficientSamples,
     NonPositiveRse,
+    RankOutOfRange,
     TooShort,
     ZeroTruth,
 )
@@ -59,6 +59,8 @@ class SolverConfig:
             raise ValueError("target_rank must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.stall_window < 1:
+            raise ValueError("stall_window must be >= 1")
         if self.variant not in ("simplified", "full"):
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -208,6 +210,8 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
     observed = check_observed(observed, omega)
     m, n, k = observed.shape
     r = cfg.target_rank
+    if r > min(m, n):
+        raise RankOutOfRange(f"rank {r} outside [1, {min(m, n)}]")
     start = time.perf_counter()
 
     if cfg.variant == "simplified":
@@ -266,39 +270,3 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
         rse_is_training=ground_truth is None,
         estimate=estimate,
     )
-
-
-def noisy_subspace_iteration(t, x0, iterations, noise_gen=None, seed=None):
-    """Power-method harness: z = t * x + noise, x = orthonormalize(z).
-
-    `t` must be a symmetric-square tensor (symmetric frontal slices).
-    Returns the largest-principal-angle sine against the top-r eigenslices
-    of t after every step.
-    """
-    t = _check3(t)
-    x0 = _check3(x0)
-    n, n2, k = t.shape
-    if n != n2 or x0.shape[0] != n or x0.shape[2] != k:
-        raise DimensionMismatch(f"tensor {t.shape} vs iterate {x0.shape}")
-    if not np.allclose(t, t.transpose(1, 0, 2), atol=1e-10 * max(1, frobenius_norm(t))):
-        raise DimensionMismatch("tensor frontal slices must be symmetric")
-    r = x0.shape[1]
-    uf = freq_slices(top_r_eigenslices(t, r))
-    rng = (seed or RngSeed(0, "nsi")).rng()
-
-    def angle(x):
-        xf = freq_slices(x)
-        resid = xf - uf @ (uf.conj().swapaxes(1, 2) @ xf)
-        return float(np.linalg.svd(resid, compute_uv=False).max(initial=0.0))
-
-    x = x0
-    trace = []
-    for step in range(iterations):
-        z = tprod(t, x)
-        if noise_gen is not None:
-            noise = noise_gen(step, z.shape, rng)
-            if noise is not None:
-                z = z + noise
-        x, _ = qr_tensor(z)
-        trace.append(angle(x))
-    return trace

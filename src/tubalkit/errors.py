@@ -14,12 +14,6 @@ class InvalidEntries(TubalError):
     non-finite observations inside the sample set."""
 
 
-class SingularFrequencySlice(TubalError):
-    def __init__(self, slice_index, message=None):
-        self.slice_index = slice_index
-        super().__init__(message or f"frequency slice {slice_index} is singular")
-
-
 class NotOrthonormal(TubalError):
     pass
 

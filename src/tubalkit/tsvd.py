@@ -1,4 +1,4 @@
-"""Tensor singular value decomposition and tubal-rank tools.
+"""Tensor singular value decomposition and its top-r eigenslices.
 
 The t-SVD factors a real (m, n, k) tensor as U * Theta * V^dag with U, V
 orthonormal under the t-product and Theta f-diagonal.  It is computed by one
@@ -10,17 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    freq_slices,
-    from_freq_slices,
-    tprod,
-    ttranspose,
-    unit_phase,
-    _check3,
-)
+from .algebra import freq_slices, from_freq_slices, unit_phase, _check3
 from .errors import RankOutOfRange
-
-DEFAULT_RANK_TOL = 1e-8
 
 
 @dataclass
@@ -54,25 +45,6 @@ def tsvd(t):
         theta=from_freq_slices(s[:, :, None] * np.eye(s.shape[1]), k),
         v=from_freq_slices(vh.conj().swapaxes(1, 2), k),
     )
-
-
-def tubal_rank(t, tol=DEFAULT_RANK_TOL):
-    """Number of eigentubes above `tol` relative to the leading one."""
-    norms = tsvd(t).eigentube_norms()
-    if norms.size == 0 or norms[0] == 0:
-        return 0
-    return int(np.count_nonzero(norms > tol * norms[0]))
-
-
-def truncate_rank(t, r):
-    """Best tubal-rank-r approximation (leading r t-SVD components)."""
-    t = _check3(t)
-    m, n, k = t.shape
-    if not 1 <= r <= min(m, n):
-        raise RankOutOfRange(f"rank {r} outside [1, {min(m, n)}]")
-    f = tsvd(t)
-    core = tprod(f.theta[:r, :r, :], ttranspose(f.v[:, :r, :]))
-    return tprod(f.u[:, :r, :], core)
 
 
 def top_r_eigenslices(t, r):

@@ -9,19 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from tubalkit.algebra import (
-    circ_expand,
-    frobenius_norm,
-    orthonormality_error,
-    spectral_norm,
-    tinv,
-    tprod,
-    ttranspose,
-)
+from tubalkit.algebra import orthonormality_error, spectral_norm, tprod, ttranspose
 from tubalkit.altmin import (
     SolverConfig,
     initialize,
-    noisy_subspace_iteration,
     qr_tensor,
     tubal_alt_min,
 )
@@ -33,8 +24,16 @@ from tubalkit.sampling import (
 )
 from tubalkit.tls import ls_solve_y
 from tubalkit.tnn_admm import AdmmConfig, admm_complete, lambda_grid
-from tubalkit.tsvd import top_r_eigenslices, truncate_rank, tsvd, tubal_rank
+from tubalkit.tsvd import top_r_eigenslices, tsvd
 
+from oracles import (
+    circ_expand,
+    frobenius_norm,
+    noisy_subspace_iteration,
+    tinv,
+    truncate_rank,
+    tubal_rank,
+)
 from test_tls import oracle_solve_y
 
 

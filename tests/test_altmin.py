@@ -5,7 +5,6 @@ import pytest
 
 from tubalkit.algebra import (
     coherence,
-    frobenius_norm,
     identity_tensor,
     orthonormality_error,
     tprod,
@@ -16,7 +15,6 @@ from tubalkit.altmin import (
     SolverConfig,
     fit_convergence,
     initialize,
-    noisy_subspace_iteration,
     qr_tensor,
     rse,
     smooth_qr,
@@ -29,6 +27,7 @@ from tubalkit.errors import (
     InsufficientSamples,
     InvalidEntries,
     NonPositiveRse,
+    RankOutOfRange,
     TooShort,
     ZeroTruth,
 )
@@ -41,9 +40,7 @@ from tubalkit.sampling import (
 )
 from tubalkit.tsvd import top_r_eigenslices, tsvd
 
-
-def full_set(m, n, k):
-    return SampleSet(m, n, k, np.ones((m, n, k), dtype=bool))
+from oracles import frobenius_norm, full_set, noisy_subspace_iteration
 
 
 def subspace_angle(u, x):
@@ -255,6 +252,23 @@ def test_full_variant_insufficient_samples():
     )
     with pytest.raises(InsufficientSamples):
         tubal_alt_min(project(t, omega), omega, cfg, ground_truth=t)
+
+
+@pytest.mark.parametrize("variant", ["simplified", "full"])
+@pytest.mark.parametrize("rank", [6, 7])
+def test_rank_above_min_dimension_is_typed_error(variant, rank):
+    t = np.random.default_rng(19).standard_normal((6, 5, 3))
+    cfg = SolverConfig(
+        target_rank=rank, iterations=2, variant=variant, seed=RngSeed(19, "rank")
+    )
+    with pytest.raises(RankOutOfRange):
+        tubal_alt_min(t, full_set(6, 5, 3), cfg)
+
+
+@pytest.mark.parametrize("window", [0, -2])
+def test_stall_window_must_be_positive(window):
+    with pytest.raises(ValueError, match="stall_window"):
+        SolverConfig(target_rank=1, stall_window=window)
 
 
 def test_non_finite_observation_is_typed_error():

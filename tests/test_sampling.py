@@ -12,7 +12,8 @@ from tubalkit.sampling import (
     synth_low_tubal_rank,
     write_sample_set,
 )
-from tubalkit.tsvd import tubal_rank
+
+from oracles import tubal_rank
 
 
 def test_bernoulli_extremes():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tubalkit import altmin
-from tubalkit.algebra import circ_expand, frobenius_norm, tprod, ttranspose
+from tubalkit.algebra import tprod, ttranspose
 from tubalkit.altmin import qr_tensor
 from tubalkit.errors import DimensionMismatch
 from tubalkit.sampling import (
@@ -28,6 +28,8 @@ from tubalkit.tls import (
     median_ls,
     median_ls_x,
 )
+
+from oracles import circ_expand, frobenius_norm, full_set
 
 
 def build_slice_system(observed_freq, mask_freq, x_freq, j):
@@ -128,10 +130,6 @@ def unrolled_x_operator(y, omega):
                 image = project(tprod(basis, ttranspose(y)), omega)
                 cols.append(image.reshape(-1))
     return np.stack(cols, axis=1)
-
-
-def full_set(m, n, k):
-    return SampleSet(m, n, k, np.ones((m, n, k), dtype=bool))
 
 
 def test_full_observation_orthonormal_x():
