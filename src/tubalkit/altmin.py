@@ -27,11 +27,8 @@ from .algebra import (
 )
 from .errors import (
     DimensionMismatch,
-    EmptySampleSet,
     InsufficientSamples,
-    NonPositiveRse,
     RankOutOfRange,
-    TooShort,
     ZeroTruth,
 )
 from .sampling import RngSeed, check_observed, project, split
@@ -67,8 +64,7 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Per-iteration error/time trace; `slope` and `intercept` are its
-    `fit_line`, None when the trace cannot be fitted."""
+    """Per-iteration error/time trace, with the estimate and solver state."""
 
     rse: list
     seconds: list
@@ -80,8 +76,6 @@ class SolveReport:
     feasibility_gap: float | None = None
     admm_state: tuple | None = None  # final (z, q), to warm-start the next run
     path_iterations: int | None = None  # ADMM iterations of the whole lambda path
-    slope = property(lambda self: fit_line(self.rse)[0])
-    intercept = property(lambda self: fit_line(self.rse)[1])
 
 
 def rse(estimate, truth):
@@ -96,23 +90,15 @@ def rse(estimate, truth):
     return float(np.linalg.norm(estimate - truth) / denom)
 
 
-def fit_convergence(trace):
-    """Least-squares line through log10(RSE) vs iteration index."""
+def fit_line(trace):
+    """Least-squares line (slope, intercept) through log10(RSE) vs iteration
+    index, or (None, None) unless the trace holds at least two values, all
+    finite and positive."""
     trace = np.asarray(trace, dtype=float)
-    if trace.size < 2:
-        raise TooShort("need at least two trace points")
-    if np.any(trace <= 0):
-        raise NonPositiveRse("all trace values must be positive")
+    if trace.size < 2 or not np.all(np.isfinite(trace) & (trace > 0)):
+        return None, None
     slope, intercept = np.polyfit(np.arange(trace.size), np.log10(trace), 1)
     return float(slope), float(intercept)
-
-
-def fit_line(trace):
-    """fit_convergence of a trace, or (None, None) when the trace is shorter
-    than two points or holds a value <= 0."""
-    if len(trace) >= 2 and all(v > 0 for v in trace):
-        return fit_convergence(trace)
-    return None, None
 
 
 def trace_error(estimate, observed, omega, ground_truth=None):
@@ -151,21 +137,20 @@ def truncate_tubes(z, cap):
     return z * scale[:, :, None]
 
 
-def initialize(observed, omega, r, mu0, seed):
+def initialize(observed, omega, r, seed):
     """Spectral starting point: top-r eigenslices of the rescaled observed
-    tensor, spread by a random orthonormal mixer, tube-truncated, then
-    re-orthonormalized."""
+    tensor, spread by a random orthonormal mixer, tube-truncated to the
+    coherence budget, then re-orthonormalized."""
     observed = _check3(observed)
     if omega.size == 0:
-        raise EmptySampleSet("cannot initialize from an empty sample set")
+        raise InsufficientSamples("cannot initialize from an empty sample set")
     m, n, k = observed.shape
     p_hat = omega.size / (m * n * k)
     basis = top_r_eigenslices(observed / p_hat, r)
     rng = seed.derive("init").rng()
     mixer, _ = qr_tensor(rng.standard_normal((r, r, k)))
     z = tprod(basis, mixer)
-    rows = basis.shape[0]
-    cap = math.sqrt(8 * mu0 * math.log(rows) / rows) if rows > 1 else float("inf")
+    cap = math.sqrt(8 * COHERENCE_BUDGET * math.log(m) / m) if m > 1 else math.inf
     z = truncate_tubes(z, cap)
     q, _ = qr_tensor(z)
     return q
@@ -234,7 +219,7 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
         parts = split(omega_plus, cfg.iterations, cfg.seed.derive("split-iters"))
         if omega0.size == 0 or any(part.size == 0 for part in parts):
             raise InsufficientSamples("a split subset is empty")
-        x = initialize(project(observed, omega0), omega0, r, COHERENCE_BUDGET, cfg.seed)
+        x = initialize(project(observed, omega0), omega0, r, cfg.seed)
 
         def solve_y(part, x, seed):
             return median_ls(observed, part, x, seed)

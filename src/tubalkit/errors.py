@@ -26,19 +26,7 @@ class SolverBreakdown(TubalError):
     """A LAPACK routine failed inside a solver (e.g. an SVD did not converge)."""
 
 
-class EmptySampleSet(TubalError):
-    pass
-
-
 class InsufficientSamples(TubalError):
-    pass
-
-
-class NonPositiveRse(TubalError):
-    pass
-
-
-class TooShort(TubalError):
     pass
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .altmin import SolverConfig, trace_error, tubal_alt_min
+from .altmin import SolverConfig, fit_line, trace_error, tubal_alt_min
 from .errors import (
     BadMagic,
     FileFormatError,
@@ -95,6 +95,8 @@ class ExperimentSpec:
             raise ValueError("sampling rates must lie in (0, 1]")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if not 0 < self.threshold < np.inf:
+            raise ValueError(f"threshold {self.threshold} must be finite and positive")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
@@ -228,7 +230,7 @@ def run_convergence(spec):
         for it, (value, secs) in enumerate(zip(report.rse, report.seconds)):
             rows.append(TraceRow(algo, rate, rep, it, value, secs))
         if rep == 0:
-            slopes[algo] = (report.slope, report.intercept)
+            slopes[algo] = fit_line(report.rse)
     write_csv(spec.out_dir, "converge.csv", CSV_HEADER, rows)
     # str, so that a trace that cannot be fitted reads None, not csv's empty field
     fits = [(algo, str(slope), str(icpt)) for algo, (slope, icpt) in slopes.items()]

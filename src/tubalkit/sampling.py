@@ -37,17 +37,12 @@ class RngSeed:
 class SampleSet:
     """Observation set Omega stored as a boolean mask over (m, n, k)."""
 
-    m: int
-    n: int
-    k: int
     mask: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=bool)
-        if self.mask.shape != (self.m, self.n, self.k):
-            raise DimensionMismatch(
-                f"mask shape {self.mask.shape} != dims {(self.m, self.n, self.k)}"
-            )
+        if self.mask.ndim != 3:
+            raise DimensionMismatch(f"mask must be 3-D, got shape {self.mask.shape}")
 
     @property
     def size(self):
@@ -55,20 +50,7 @@ class SampleSet:
 
     @property
     def dims(self):
-        return (self.m, self.n, self.k)
-
-    def triples(self):
-        """Observed (i, j, kappa) triples, 0-based, in row-major order."""
-        return np.argwhere(self.mask)
-
-    @classmethod
-    def from_triples(cls, m, n, k, triples):
-        mask = np.zeros((m, n, k), dtype=bool)
-        for i, j, kappa in triples:
-            if not (0 <= i < m and 0 <= j < n and 0 <= kappa < k):
-                raise DimensionMismatch(f"triple {(i, j, kappa)} outside dims")
-            mask[i, j, kappa] = True
-        return cls(m, n, k, mask)
+        return self.mask.shape
 
 
 def sample_bernoulli(m, n, k, p, seed):
@@ -76,7 +58,7 @@ def sample_bernoulli(m, n, k, p, seed):
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
     mask = seed.rng().random((m, n, k)) < p
-    return SampleSet(m, n, k, mask)
+    return SampleSet(mask)
 
 
 def project(t, omega):
@@ -107,7 +89,7 @@ def split(omega, t, seed):
     """Partition Omega into the t disjoint subsets that `split_labels` draws."""
     labels = np.full(omega.dims, -1)
     labels[omega.mask] = split_labels(omega, t, seed)
-    return [SampleSet(*omega.dims, labels == part) for part in range(t)]
+    return [SampleSet(labels == part) for part in range(t)]
 
 
 def synth_low_tubal_rank(m, n, k, r, seed):
@@ -131,24 +113,38 @@ def check_file_dims(m, n, k):
 
 
 def write_sample_set(path, omega):
-    """Text format: header "m n k", then one 1-based "i j kappa" per line."""
-    with open(path, "w") as fh:
-        fh.write(f"{omega.m} {omega.n} {omega.k}\n")
-        for i, j, kappa in omega.triples():
-            fh.write(f"{i + 1} {j + 1} {kappa + 1}\n")
+    """Text format: header "m n k", then one 1-based "i j kappa" per line in
+    row-major order."""
+    triples = np.argwhere(omega.mask)[..., None] + 1
+    powers = 10 ** np.arange(len(str(max(omega.dims))) - 1, -1, -1)
+    # each number's ASCII digits, 0 for those above its leading one, then a separator
+    chars = np.zeros((len(triples), 3, powers.size + 1), dtype=np.uint8)
+    chars[..., :-1] = np.where(triples >= powers, triples // powers % 10 + ord("0"), 0)
+    chars[..., -1] = list(b"  \n")
+    with open(path, "wb") as fh:
+        fh.write(b"%d %d %d\n" % omega.dims)
+        fh.write(chars[chars > 0].tobytes())
 
 
 def read_sample_set(path):
-    """Parse the text format of `write_sample_set`; a malformed header,
-    field or out-of-range triple raises FileFormatError, and so do dims
-    that `check_file_dims` refuses."""
+    """Parse the text format of `write_sample_set` (any line order, blank
+    lines skipped); a malformed header, field or out-of-range triple raises
+    FileFormatError, and so do dims that `check_file_dims` refuses."""
     with open(path) as fh:
-        header = fh.readline()
-        lines = [line for line in fh if line.strip()]
+        header, body = fh.readline(), fh.read()
     try:
         m, n, k = (int(v) for v in header.split())
         check_file_dims(m, n, k)
-        triples = [tuple(int(v) - 1 for v in line.split()) for line in lines]
-        return SampleSet.from_triples(m, n, k, triples)
-    except (ValueError, DimensionMismatch) as exc:
+        triples = np.zeros((0, 3), dtype=np.int64)
+        if body.strip():  # loadtxt warns on a file with no rows
+            triples = np.loadtxt(body.split("\n"), np.int64, comments=None, ndmin=2)
+        if triples.shape[1] != 3:
+            raise ValueError(f"{triples.shape[1]} fields on a line, not 3")
+        outside = np.any((triples < 1) | (triples > (m, n, k)), axis=1)
+        if np.any(outside):
+            raise ValueError(f"triple {triples[outside][0].tolist()} outside dims")
+    except ValueError as exc:
         raise FileFormatError(f"malformed sample-set file {path}: {exc}") from exc
+    mask = np.zeros((m, n, k), dtype=bool)
+    mask[tuple(triples.T - 1)] = True
+    return SampleSet(mask)

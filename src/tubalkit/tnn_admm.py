@@ -49,8 +49,9 @@ class AdmmConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lam <= 0 or (self.alpha is not None and self.alpha <= 0):
-            raise ValueError("lam and alpha must be positive")
+        alpha = 1.0 if self.alpha is None else self.alpha
+        if not (0 < self.lam < np.inf and 0 < alpha < np.inf):
+            raise ValueError("lam and alpha must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

@@ -23,9 +23,6 @@ class TsvdFactors:
     theta: np.ndarray
     v: np.ndarray
 
-    def eigentube_norms(self):
-        return np.linalg.norm(np.diagonal(self.theta), axis=0)
-
 
 def tsvd(t):
     """Reduced t-SVD of a real tensor.

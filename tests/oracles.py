@@ -26,7 +26,7 @@ class SingularFrequencySlice(TubalError):
 
 
 def full_set(m, n, k):
-    return SampleSet(m, n, k, np.ones((m, n, k), dtype=bool))
+    return SampleSet(np.ones((m, n, k), dtype=bool))
 
 
 def tinv(t):
@@ -62,9 +62,14 @@ def frobenius_norm(t):
     return float(np.linalg.norm(_check3(t)))
 
 
+def eigentube_norms(factors):
+    """Frobenius norm of each eigentube theta[s, s, :] of a t-SVD."""
+    return np.linalg.norm(np.diagonal(factors.theta), axis=0)
+
+
 def tubal_rank(t, tol=DEFAULT_RANK_TOL):
     """Number of eigentubes above `tol` relative to the leading one."""
-    norms = tsvd(t).eigentube_norms()
+    norms = eigentube_norms(tsvd(t))
     if norms.size == 0 or norms[0] == 0:
         return 0
     return int(np.count_nonzero(norms > tol * norms[0]))

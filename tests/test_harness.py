@@ -5,6 +5,7 @@ import os
 import re
 import struct
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -428,6 +429,18 @@ def test_cli_exit_codes(tmp_path):
         assert cli.main(["sweep", *small, *bad]) == 2
     bad_alpha = ["--algo", "tnn-admm", "--alpha", "-1"]
     assert cli.main(["converge", *small, *bad_alpha]) == 2
+    # non-finite weights and thresholds are bad arguments too
+    admm = ["--size", "8,8,3", "--rank", "1", "--rates", "0.5", "--algo", "tnn-admm"]
+    admm += ["--out", str(tmp_path)]
+    for command in ("sweep", "converge"):
+        for flag in ("--lambda", "--alpha"):
+            for value in ("nan", "inf", "-inf"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert cli.main([command, *admm, f"{flag}={value}"]) == 2, (flag, value)
+    scale = ["scale", "--tube", "2", "--rank", "1", "--sizes", "6", "--out", str(tmp_path)]
+    for value in ("nan", "inf", "0", "-1"):
+        assert cli.main([*scale, f"--threshold={value}"]) == 2, value
     tensor_path = tmp_path / "t.t3b"
     write_tensor(tensor_path, np.zeros((2, 2, 2)))
     # non-integer field, out of range, dims other than the tensor's, and

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tubalkit.errors import DimensionMismatch, RankOutOfRange
+from tubalkit.errors import DimensionMismatch, FileFormatError, RankOutOfRange
 from tubalkit.sampling import (
     RngSeed,
     SampleSet,
@@ -43,7 +43,7 @@ def test_project_basics():
     t = rng.standard_normal((4, 5, 3))
     full = sample_bernoulli(4, 5, 3, 1.0, RngSeed(0, "p"))
     assert np.array_equal(project(t, full), t)
-    empty = SampleSet(4, 5, 3, np.zeros((4, 5, 3), dtype=bool))
+    empty = SampleSet(np.zeros((4, 5, 3), dtype=bool))
     assert np.all(project(t, empty) == 0)
     omega = sample_bernoulli(4, 5, 3, 0.5, RngSeed(3, "p"))
     once = project(t, omega)
@@ -69,7 +69,7 @@ def test_split_partition():
 
 
 def test_split_balance():
-    omega = SampleSet(20, 20, 10, np.ones((20, 20, 10), dtype=bool))
+    omega = SampleSet(np.ones((20, 20, 10), dtype=bool))
     parts = split(omega, 4, RngSeed(5, "bal"))
     sd = np.sqrt(4000 * 0.25 * 0.75)
     for part in parts:
@@ -108,9 +108,50 @@ def test_synth_determinism():
     assert np.array_equal(t1, t2)
 
 
-def test_sample_set_from_triples_validates():
+def test_sample_set_mask_must_be_3d():
+    assert SampleSet(np.ones((2, 3, 1))).dims == (2, 3, 1)
     with pytest.raises(DimensionMismatch):
-        SampleSet.from_triples(2, 2, 2, [(0, 0, 0), (2, 0, 0)])
+        SampleSet(np.ones((2, 3), dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["1", "1 1", "1 1 1 1", "1 x 1", "1 1 1.0", "0 1 1", "1 0 1", "1 1 0", "3 1 1", "1 4 1",
+     "1 1 3"],
+    ids=["1-field", "2-fields", "4-fields", "not-int", "float", "zero-i", "zero-j",
+         "zero-kappa", "above-m", "above-n", "above-k"],
+)
+def test_read_sample_set_refuses_a_malformed_line(tmp_path, line):
+    path = tmp_path / "omega.txt"
+    # alone, and between well-formed lines
+    for body in (f"{line}\n", f"1 1 1\n{line}\n2 3 2\n"):
+        path.write_text(f"2 3 2\n{body}")
+        with pytest.raises(FileFormatError):
+            read_sample_set(path)
+
+
+@pytest.mark.parametrize("text", ["2 3 2\n", "2 3 2", "2 3 2\n\n  \n"])
+def test_read_sample_set_header_only_is_the_empty_set(tmp_path, text):
+    path = tmp_path / "omega.txt"
+    path.write_text(text)
+    omega = read_sample_set(path)
+    assert omega.dims == (2, 3, 2)
+    assert omega.size == 0 and omega.mask.shape == (2, 3, 2)
+
+
+def test_write_sample_set_is_header_then_one_based_row_major_triples(tmp_path):
+    path = tmp_path / "omega.txt"
+    # out of order, repeated, blank lines: read back as a set
+    path.write_text("2 3 12\n2 3 12\n1 3 10\n\n1 1 1\n2 1 4\n1 3 10\n")
+    write_sample_set(path, read_sample_set(path))
+    assert path.read_text() == "2 3 12\n1 1 1\n1 3 10\n2 1 4\n2 3 12\n"
+    for dims, p in (((101, 3, 10), 0.2), ((9, 1, 9), 1.0), ((4, 5, 6), 0.0)):
+        omega = sample_bernoulli(*dims, p, RngSeed(10, f"io{dims}"))
+        write_sample_set(path, omega)
+        lines = [" ".join(map(str, dims))]
+        lines += [f"{i + 1} {j + 1} {kappa + 1}" for i, j, kappa in np.argwhere(omega.mask)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert np.array_equal(read_sample_set(path).mask, omega.mask)
 
 
 def test_sample_set_round_trip(tmp_path):

@@ -179,18 +179,23 @@ def test_admm_config_validation():
         AdmmConfig(lam=1.0, alpha=-1.0)
     with pytest.raises(ValueError):
         AdmmConfig(lam=1.0, max_iters=0)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            AdmmConfig(lam=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            AdmmConfig(lam=1.0, alpha=bad)
 
 
 def test_admm_tiny_lambda_full_observation():
     t, _ = synth_low_tubal_rank(12, 12, 4, 2, RngSeed(5, "full"))
-    omega = SampleSet(12, 12, 4, np.ones((12, 12, 4), dtype=bool))
+    omega = SampleSet(np.ones((12, 12, 4), dtype=bool))
     cfg = AdmmConfig(lam=1e-8, max_iters=300, tol=1e-16)
     report = admm_complete(t, omega, cfg, ground_truth=t)
     assert report.rse[-1] <= 1e-6
 
 
 def test_admm_empty_omega():
-    omega = SampleSet(4, 4, 2, np.zeros((4, 4, 2), dtype=bool))
+    omega = SampleSet(np.zeros((4, 4, 2), dtype=bool))
     with pytest.raises(InsufficientSamples):
         admm_complete(np.zeros((4, 4, 2)), omega, AdmmConfig(lam=1.0))
     with pytest.raises(DimensionMismatch):
@@ -199,7 +204,7 @@ def test_admm_empty_omega():
             omega,
             AdmmConfig(lam=1.0),
         )
-    full = SampleSet(4, 4, 2, np.ones((4, 4, 2), dtype=bool))
+    full = SampleSet(np.ones((4, 4, 2), dtype=bool))
     observed = np.zeros((4, 4, 2))
     observed[1, 2, 0] = np.nan
     with pytest.raises(InvalidEntries):
