@@ -1,6 +1,7 @@
 """Observation sets, the sampling projection, and synthetic instances."""
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,15 +116,8 @@ def check_file_dims(m, n, k):
 def write_sample_set(path, omega):
     """Text format: header "m n k", then one 1-based "i j kappa" per line in
     row-major order."""
-    triples = np.argwhere(omega.mask)[..., None] + 1
-    powers = 10 ** np.arange(len(str(max(omega.dims))) - 1, -1, -1)
-    # each number's ASCII digits, 0 for those above its leading one, then a separator
-    chars = np.zeros((len(triples), 3, powers.size + 1), dtype=np.uint8)
-    chars[..., :-1] = np.where(triples >= powers, triples // powers % 10 + ord("0"), 0)
-    chars[..., -1] = list(b"  \n")
-    with open(path, "wb") as fh:
-        fh.write(b"%d %d %d\n" % omega.dims)
-        fh.write(chars[chars > 0].tobytes())
+    header = "%d %d %d" % omega.dims
+    np.savetxt(path, np.argwhere(omega.mask) + 1, fmt="%d", header=header, comments="")
 
 
 def read_sample_set(path):
@@ -135,6 +129,8 @@ def read_sample_set(path):
     try:
         m, n, k = (int(v) for v in header.split())
         check_file_dims(m, n, k)
+        if re.search(r"[^0-9+\-\s]", body):  # loadtxt parses "1.0" as 1 on some numpy
+            raise ValueError("a field that is not an integer")
         triples = np.zeros((0, 3), dtype=np.int64)
         if body.strip():  # loadtxt warns on a file with no rows
             triples = np.loadtxt(body.split("\n"), np.int64, comments=None, ndmin=2)

@@ -116,10 +116,10 @@ def test_sample_set_mask_must_be_3d():
 
 @pytest.mark.parametrize(
     "line",
-    ["1", "1 1", "1 1 1 1", "1 x 1", "1 1 1.0", "0 1 1", "1 0 1", "1 1 0", "3 1 1", "1 4 1",
-     "1 1 3"],
-    ids=["1-field", "2-fields", "4-fields", "not-int", "float", "zero-i", "zero-j",
-         "zero-kappa", "above-m", "above-n", "above-k"],
+    ["1", "1 1", "1 1 1 1", "1 x 1", "1 1 1.0", "1 1 1e0", "0 1 1", "1 0 1", "1 1 0",
+     "3 1 1", "1 4 1", "1 1 3"],
+    ids=["1-field", "2-fields", "4-fields", "not-int", "float", "exponent", "zero-i",
+         "zero-j", "zero-kappa", "above-m", "above-n", "above-k"],
 )
 def test_read_sample_set_refuses_a_malformed_line(tmp_path, line):
     path = tmp_path / "omega.txt"
