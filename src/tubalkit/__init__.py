@@ -1,6 +1,6 @@
 """Low-tubal-rank tensor completion over the t-product algebra."""
 
-from . import algebra, altmin, errors, harness, sampling, tls, tnn_admm, tsvd
+from . import algebra, altmin, errors, harness, sampling, tls, tnn_admm
 
 __all__ = [
     "algebra",
@@ -10,5 +10,4 @@ __all__ = [
     "sampling",
     "tls",
     "tnn_admm",
-    "tsvd",
 ]

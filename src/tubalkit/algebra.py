@@ -7,7 +7,7 @@ scalars are length-k tubes under circular convolution, which the mode-3 DFT
 diagonalizes.  Forward DFT is unnormalized, the inverse carries the 1/k
 factor (numpy's fft/ifft convention).
 
-The t-product, t-SVD, tensor QR and singular value thresholding
+The t-product, top-r eigenslices, tensor QR and singular value thresholding
 share one frequency-slice kernel: `freq_slices` gives the half spectrum as a
 (k//2+1, m, n) stack for batched numpy linalg calls, `from_freq_slices` maps
 it back.  The other slices are conjugates of these and are never computed.

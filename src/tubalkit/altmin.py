@@ -33,7 +33,6 @@ from .errors import (
 )
 from .sampling import RngSeed, check_observed, project, split
 from .tls import _Plan, ls_solve_x, ls_solve_y, median_ls, median_ls_x
-from .tsvd import top_r_eigenslices
 
 STALL_TOL = 1e-12  # a stall: the error moved less over `stall_window` steps
 # The full variant's smooth-QR step eps and coherence budget mu0.  Coherence
@@ -70,10 +69,8 @@ class SolveReport:
     seconds: list
     x: np.ndarray | None
     y: np.ndarray | None
-    rse_is_training: bool = False
     estimate: np.ndarray | None = None
     objective: list | None = None
-    feasibility_gap: float | None = None
     admm_state: tuple | None = None  # final (z, q), to warm-start the next run
     path_iterations: int | None = None  # ADMM iterations of the whole lambda path
 
@@ -113,18 +110,15 @@ def trace_error(estimate, observed, omega, ground_truth=None):
 
 
 def qr_tensor(y):
-    """Thin t-product QR: y = q * r with q orthonormal.
+    """Orthonormal factor q of the thin t-product QR y = q * r.
 
     One batched QR of the half-spectrum frequency slices; the phase of each
     R diagonal is fixed real positive so the factorization is deterministic.
     """
     y = _check3(y)
-    k = y.shape[2]
     qf, rf = np.linalg.qr(freq_slices(y))
     phase = unit_phase(np.diagonal(rf, axis1=1, axis2=2))[:, None, :]
-    qf = qf * phase
-    rf = rf * phase.conj().swapaxes(1, 2)
-    return from_freq_slices(qf, k), from_freq_slices(rf, k)
+    return from_freq_slices(qf * phase, y.shape[2])
 
 
 def truncate_tubes(z, cap):
@@ -135,6 +129,22 @@ def truncate_tubes(z, cap):
     over = norms > cap
     scale[over] = cap / norms[over]
     return z * scale[:, :, None]
+
+
+def top_r_eigenslices(t, r):
+    """First r lateral slices of the left t-SVD factor (orthonormal).
+
+    One batched SVD of the half-spectrum frequency slices; the
+    largest-magnitude entry of each kept left singular vector is made real
+    positive so the result is deterministic.
+    """
+    t = _check3(t)
+    if not 1 <= r <= min(t.shape[0], t.shape[1]):
+        raise RankOutOfRange(f"rank {r} outside [1, {min(t.shape[:2])}]")
+    u = np.linalg.svd(freq_slices(t), full_matrices=False)[0][:, :, :r]
+    idx = np.argmax(np.abs(u), axis=1)[:, None, :]
+    phase = unit_phase(np.take_along_axis(u, idx, axis=1))
+    return from_freq_slices(u * phase.conj(), t.shape[2])
 
 
 def initialize(observed, omega, r, seed):
@@ -148,12 +158,11 @@ def initialize(observed, omega, r, seed):
     p_hat = omega.size / (m * n * k)
     basis = top_r_eigenslices(observed / p_hat, r)
     rng = seed.derive("init").rng()
-    mixer, _ = qr_tensor(rng.standard_normal((r, r, k)))
+    mixer = qr_tensor(rng.standard_normal((r, r, k)))
     z = tprod(basis, mixer)
     cap = math.sqrt(8 * COHERENCE_BUDGET * math.log(m) / m) if m > 1 else math.inf
     z = truncate_tubes(z, cap)
-    q, _ = qr_tensor(z)
-    return q
+    return qr_tensor(z)
 
 
 def smooth_qr(y, eps, mu, seed):
@@ -164,7 +173,7 @@ def smooth_qr(y, eps, mu, seed):
     """
     y = _check3(y)
     n = y.shape[0]
-    z, _ = qr_tensor(y)
+    z = qr_tensor(y)
     norm_y = spectral_norm(y)
     sigma_used = 0.0
     if norm_y == 0:
@@ -173,7 +182,7 @@ def smooth_qr(y, eps, mu, seed):
     rng = seed.derive("smoothqr").rng()
     while coherence(z) > mu and sigma <= norm_y:
         noise = rng.normal(0.0, sigma / math.sqrt(n), size=y.shape)
-        z, _ = qr_tensor(y + noise)
+        z = qr_tensor(y + noise)
         sigma_used = sigma
         sigma *= 2
     return z, sigma_used
@@ -200,7 +209,7 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
     start = time.perf_counter()
 
     if cfg.variant == "simplified":
-        x, _ = qr_tensor(cfg.seed.derive("x0").rng().standard_normal((m, r, k)))
+        x = qr_tensor(cfg.seed.derive("x0").rng().standard_normal((m, r, k)))
         parts = [omega] * cfg.iterations
         # Omega is the same in every half-step: one least-squares plan each
         y_plan, x_plan = (_Plan(observed, omega, r * k, up) for up in (True, False))
@@ -252,6 +261,5 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
         seconds=seconds,
         x=x_raw,
         y=y,
-        rse_is_training=ground_truth is None,
         estimate=estimate,
     )

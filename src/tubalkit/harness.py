@@ -95,6 +95,12 @@ class ExperimentSpec:
             raise ValueError("sampling rates must lie in (0, 1]")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        for name in ("lam", "alpha"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} {value} must be finite and positive")
         if not 0 < self.threshold < np.inf:
             raise ValueError(f"threshold {self.threshold} must be finite and positive")
         for algo in self.algorithms:

@@ -11,6 +11,7 @@ from .errors import (
     DimensionMismatch,
     DimOverflow,
     FileFormatError,
+    InsufficientSamples,
     InvalidEntries,
     RankOutOfRange,
 )
@@ -71,8 +72,11 @@ def project(t, omega):
 
 
 def check_observed(observed, omega):
-    """A solver's input zeroed outside omega, checked for finite observations."""
+    """A solver's input zeroed outside omega, checked for a nonempty omega
+    and finite observations."""
     observed = project(observed, omega)
+    if omega.size == 0:
+        raise InsufficientSamples("empty sample set")
     if not np.all(np.isfinite(observed[omega.mask])):
         raise InvalidEntries("observed tensor is not finite inside the sample set")
     return observed
@@ -113,17 +117,11 @@ def check_file_dims(m, n, k):
         raise DimOverflow(f"dims {(m, n, k)} out of supported range")
 
 
-def write_sample_set(path, omega):
-    """Text format: header "m n k", then one 1-based "i j kappa" per line in
-    row-major order."""
-    header = "%d %d %d" % omega.dims
-    np.savetxt(path, np.argwhere(omega.mask) + 1, fmt="%d", header=header, comments="")
-
-
 def read_sample_set(path):
-    """Parse the text format of `write_sample_set` (any line order, blank
-    lines skipped); a malformed header, field or out-of-range triple raises
-    FileFormatError, and so do dims that `check_file_dims` refuses."""
+    """Parse a sample-set text file: header "m n k", then one 1-based
+    "i j kappa" triple per line (any line order, blank lines skipped).  A
+    malformed header, field or out-of-range triple raises FileFormatError,
+    and so do dims that `check_file_dims` refuses."""
     with open(path) as fh:
         header, body = fh.readline(), fh.read()
     try:

@@ -31,7 +31,7 @@ from .algebra import (
     _check3,
 )
 from .altmin import SolveReport, trace_error
-from .errors import DimensionMismatch, InsufficientSamples
+from .errors import DimensionMismatch
 from .sampling import check_observed
 
 GRID_POINTS = 5  # candidate weights in lambda_grid
@@ -153,8 +153,6 @@ def admm_complete(observed, omega, cfg, ground_truth=None, start=None):
     `admm_state` holds this run's final (z, q).
     """
     observed = check_observed(observed, omega)
-    if omega.size == 0:
-        raise InsufficientSamples("empty observation set")
     mask = omega.mask
     alpha = omega.size / observed.size if cfg.alpha is None else cfg.alpha
     if start is None:
@@ -198,9 +196,7 @@ def admm_complete(observed, omega, cfg, ground_truth=None, start=None):
         seconds=seconds,
         x=None,
         y=None,
-        rse_is_training=ground_truth is None,
         estimate=x,
         objective=objective_trace,
-        feasibility_gap=float(primal),
         admm_state=(z, q),
     )

@@ -1,19 +1,28 @@
 """Reference code that tests compare against and that no solve runs.
 
-The t-inverse, the circular-matrix image of a tensor, tubal-rank detection,
-best rank-r truncation and the noisy power-method harness of the
-convergence analysis are oracles: tests check the package against them, but
-no solver, CLI path, script or benchmark workload calls them.  Tests import
+The t-inverse, the circular-matrix image of a tensor, the full t-SVD,
+tubal-rank detection, best rank-r truncation, the sample-set writer and the
+noisy power-method harness of the convergence analysis are oracles: tests
+check the package against them, but no solver, CLI path, script or
+benchmark workload calls them.  Tests import
 this file as `from oracles import ...`; pytest puts `tests/` on `sys.path`.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from tubalkit.algebra import _check3, freq_slices, from_freq_slices, tprod, ttranspose
-from tubalkit.altmin import qr_tensor
+from tubalkit.algebra import (
+    _check3,
+    freq_slices,
+    from_freq_slices,
+    tprod,
+    ttranspose,
+    unit_phase,
+)
+from tubalkit.altmin import qr_tensor, top_r_eigenslices
 from tubalkit.errors import DimensionMismatch, RankOutOfRange, TubalError
 from tubalkit.sampling import RngSeed, SampleSet
-from tubalkit.tsvd import top_r_eigenslices, tsvd
 
 COND_LIMIT = 1e12  # tinv refuses a frequency slice less well conditioned
 DEFAULT_RANK_TOL = 1e-8
@@ -60,6 +69,45 @@ def circ_expand(t):
 
 def frobenius_norm(t):
     return float(np.linalg.norm(_check3(t)))
+
+
+def write_sample_set(path, omega):
+    """Text format: header "m n k", then one 1-based "i j kappa" per line in
+    row-major order."""
+    header = "%d %d %d" % omega.dims
+    np.savetxt(path, np.argwhere(omega.mask) + 1, fmt="%d", header=header, comments="")
+
+
+@dataclass
+class TsvdFactors:
+    """Reduced t-SVD triple: u (m, q, k), theta (q, q, k), v (n, q, k)
+    with q = min(m, n)."""
+
+    u: np.ndarray
+    theta: np.ndarray
+    v: np.ndarray
+
+
+def tsvd(t):
+    """Reduced t-SVD of a real tensor, U * Theta * V^dag with U, V
+    orthonormal and Theta f-diagonal: one batched SVD of the half-spectrum
+    frequency slices.
+
+    The largest-magnitude entry of each left singular vector is made real
+    positive so the factorization is deterministic.
+    """
+    t = _check3(t)
+    k = t.shape[2]
+    u, s, vh = np.linalg.svd(freq_slices(t), full_matrices=False)
+    idx = np.argmax(np.abs(u), axis=1)[:, None, :]
+    phase = unit_phase(np.take_along_axis(u, idx, axis=1))
+    u = u * phase.conj()
+    vh = vh * phase.swapaxes(1, 2)
+    return TsvdFactors(
+        u=from_freq_slices(u, k),
+        theta=from_freq_slices(s[:, :, None] * np.eye(s.shape[1]), k),
+        v=from_freq_slices(vh.conj().swapaxes(1, 2), k),
+    )
 
 
 def eigentube_norms(factors):
@@ -117,6 +165,6 @@ def noisy_subspace_iteration(t, x0, iterations, noise_gen=None, seed=None):
             noise = noise_gen(step, z.shape, rng)
             if noise is not None:
                 z = z + noise
-        x, _ = qr_tensor(z)
+        x = qr_tensor(z)
         trace.append(angle(x))
     return trace

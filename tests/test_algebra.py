@@ -257,7 +257,7 @@ def test_coherence_extremes():
 def test_coherence_bounds_random():
     rng = np.random.default_rng(19)
     for _ in range(10):
-        u, _ = qr_tensor(rng.standard_normal((8, 3, 4)))
+        u = qr_tensor(rng.standard_normal((8, 3, 4)))
         mu = coherence(u)
         assert 1 - 1e-9 <= mu <= 8 / 3 + 1e-9
 

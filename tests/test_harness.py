@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from tubalkit import cli, harness, tnn_admm
-from tubalkit.errors import BadMagic, DimOverflow, SolverBreakdown, TruncatedFile
+from tubalkit.altmin import SolverConfig, rse, trace_error, tubal_alt_min
+from tubalkit.errors import (
+    BadMagic,
+    DimOverflow,
+    InsufficientSamples,
+    SolverBreakdown,
+    TruncatedFile,
+)
 from tubalkit.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -24,7 +31,10 @@ from tubalkit.harness import (
     write_csv,
     write_tensor,
 )
-from tubalkit.sampling import RngSeed, sample_bernoulli, write_sample_set
+from tubalkit.sampling import RngSeed, SampleSet, sample_bernoulli
+from tubalkit.tnn_admm import AdmmConfig, admm_complete
+
+from oracles import write_sample_set
 
 
 def test_t3b_round_trip(tmp_path):
@@ -587,7 +597,9 @@ def test_admm_path_keeps_last_run_without_reading_truth(tmp_path, monkeypatch):
         reports.clear()
         kept.append(harness.run_algorithm(spec, "tnn-admm", observed, omega, known, base))
         assert len(reports) == 5 and kept[-1] is reports[-1]
-    assert kept[-1].rse_is_training and not kept[0].rse_is_training
+    # without truth the trace is the training residual, with it the RSE
+    assert kept[-1].rse[-1] == trace_error(kept[-1].estimate, observed, omega)
+    assert kept[0].rse[-1] == rse(kept[0].estimate, truth)
     for other in kept[:2]:
         assert np.array_equal(other.estimate, kept[-1].estimate)
         assert other.path_iterations == kept[-1].path_iterations
@@ -641,3 +653,51 @@ def test_tnn_admm_lambda_path_without_observations_is_a_solver_failure(tmp_path)
     write_tensor(tensor_path, np.zeros((4, 4, 2)))
     io = ["--input", str(tensor_path), "--output", str(tmp_path / "o.t3b")]
     assert cli.main(["complete", *io, "--rank", "1", "--algo", "tnn-admm"]) == 4
+
+
+@pytest.mark.parametrize("algo", harness.ALGORITHMS)
+def test_empty_sample_set_is_insufficient_samples_for_every_solver(tmp_path, algo):
+    # simplified AltMin once ran 4 iterations to a training residual of 0
+    t = np.ones((4, 4, 2))
+    omega = SampleSet(np.zeros(t.shape, dtype=bool))
+    solvers = {
+        "altmin-full": lambda: tubal_alt_min(t, omega, SolverConfig(1, variant="full")),
+        "altmin-simple": lambda: tubal_alt_min(t, omega, SolverConfig(1)),
+        "tnn-admm": lambda: admm_complete(t, omega, AdmmConfig(lam=1.0)),
+    }
+    with pytest.raises(InsufficientSamples):
+        solvers[algo]()
+    tensor_path, mask_path = tmp_path / "t.t3b", tmp_path / "empty.txt"
+    write_tensor(tensor_path, t)
+    mask_path.write_text("4 4 2\n")
+    io = ["--input", str(tensor_path), "--output", str(tmp_path / "o.t3b")]
+    argv = ["complete", *io, "--mask", str(mask_path), "--rank", "1", "--algo", algo]
+    assert cli.main(argv) == 4
+    assert not (tmp_path / "o.t3b").exists()
+
+
+@pytest.mark.parametrize(
+    "algos, bad",
+    [
+        (("altmin-simple", "tnn-admm"), ["--lambda", "nan"]),
+        (("altmin-simple", "tnn-admm"), ["--lambda", "0"]),
+        (("altmin-simple", "tnn-admm"), ["--alpha", "inf"]),
+        (("tnn-admm", "altmin-simple"), ["--iters", "0"]),
+    ],
+    ids=["lambda-nan", "lambda-0", "alpha-inf", "iters-0"],
+)
+def test_bad_solver_settings_exit_2_before_any_solve(tmp_path, monkeypatch, algos, bad):
+    # an algorithm that does not read the bad value once solved first
+    calls = []
+    run_algorithm = harness.run_algorithm
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return run_algorithm(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_algorithm", counted)
+    argv = ["sweep", "--size", "12,12,3", "--rank", "2", "--out", str(tmp_path), *bad]
+    for algo in algos:
+        argv += ["--algo", algo]
+    assert cli.main(argv) == 2
+    assert calls == []

@@ -10,10 +10,9 @@ from tubalkit.sampling import (
     sample_bernoulli,
     split,
     synth_low_tubal_rank,
-    write_sample_set,
 )
 
-from oracles import tubal_rank
+from oracles import tubal_rank, write_sample_set
 
 
 def test_bernoulli_extremes():

@@ -135,7 +135,7 @@ def unrolled_x_operator(y, omega):
 def test_full_observation_orthonormal_x():
     rng = np.random.default_rng(0)
     t = rng.standard_normal((6, 5, 4))
-    x, _ = qr_tensor(rng.standard_normal((6, 3, 4)))
+    x = qr_tensor(rng.standard_normal((6, 3, 4)))
     omega = full_set(6, 5, 4)
     y = ls_solve_y(t, omega, x)
     expected = tprod(ttranspose(t), x)
@@ -388,7 +388,7 @@ def test_k1_reduces_to_matrix_least_squares():
 def test_ls_solve_x_full_observation():
     rng = np.random.default_rng(10)
     t = rng.standard_normal((6, 5, 4))
-    y, _ = qr_tensor(rng.standard_normal((5, 3, 4)))
+    y = qr_tensor(rng.standard_normal((5, 3, 4)))
     omega = full_set(6, 5, 4)
     x = ls_solve_x(t, omega, y)
     expected = tprod(t, y)
@@ -534,7 +534,7 @@ def test_median_rejects_one_corrupted_solve():
     # at the clean value everywhere
     t, (xt, yt) = synth_low_tubal_rank(10, 10, 2, 1, RngSeed(18, "corrupt"))
     omega = full_set(10, 10, 2)
-    x, _ = qr_tensor(xt)
+    x = qr_tensor(xt)
     subsets = split(omega, 3, RngSeed(18, "corrupt-split"))
     sols = [ls_solve_y(project(t, s), s, x) for s in subsets]
     clean = sols[0].copy()

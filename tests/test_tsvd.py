@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from tubalkit.algebra import identity_tensor, orthonormality_error, tprod, ttranspose
+from tubalkit.altmin import top_r_eigenslices
 from tubalkit.errors import RankOutOfRange
 from tubalkit.sampling import RngSeed, synth_low_tubal_rank
-from tubalkit.tsvd import top_r_eigenslices, tsvd
 
 from oracles import (
     circ_expand,
     eigentube_norms,
     frobenius_norm,
     truncate_rank,
+    tsvd,
     tubal_rank,
 )
 
@@ -149,3 +150,14 @@ def test_tsvd_deterministic():
     assert np.array_equal(f1.u, f2.u)
     assert np.array_equal(f1.theta, f2.theta)
     assert np.array_equal(f1.v, f2.v)
+
+
+@pytest.mark.parametrize(
+    "shape", [(6, 5, 1), (6, 5, 4), (6, 5, 7), (4, 9, 6), (9, 4, 3), (50, 50, 10)]
+)
+def test_top_r_eigenslices_are_the_leading_tsvd_slices(shape):
+    # k = 1, even and odd k, m > n and m < n; r = 1 through min(m, n)
+    t = np.random.default_rng(9).standard_normal(shape)
+    u = tsvd(t).u
+    for r in range(1, min(shape[:2]) + 1):
+        assert np.array_equal(top_r_eigenslices(t, r), u[:, :r, :]), r
