@@ -67,10 +67,7 @@ class SolveReport:
 
     rse: list
     seconds: list
-    x: np.ndarray | None
-    y: np.ndarray | None
-    estimate: np.ndarray | None = None
-    objective: list | None = None
+    estimate: np.ndarray
     admm_state: tuple | None = None  # final (z, q), to warm-start the next run
     path_iterations: int | None = None  # ADMM iterations of the whole lambda path
 
@@ -150,10 +147,9 @@ def top_r_eigenslices(t, r):
 def initialize(observed, omega, r, seed):
     """Spectral starting point: top-r eigenslices of the rescaled observed
     tensor, spread by a random orthonormal mixer, tube-truncated to the
-    coherence budget, then re-orthonormalized."""
-    observed = _check3(observed)
-    if omega.size == 0:
-        raise InsufficientSamples("cannot initialize from an empty sample set")
+    coherence budget, then re-orthonormalized.  Entries of `observed`
+    outside omega are ignored."""
+    observed = check_observed(observed, omega)
     m, n, k = observed.shape
     p_hat = omega.size / (m * n * k)
     basis = top_r_eigenslices(observed / p_hat, r)
@@ -198,8 +194,7 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
     `initialize` on half of Omega), the parts (Omega every round, or
     disjoint parts of the other half), the half-steps (`ls_solve_y`/`_x`,
     or `median_ls`/`median_ls_x`) and the re-orthonormalization (none, or
-    `smooth_qr`).  The report's x and y give the estimate as x * y^T; for
-    the full variant x is the last X before smooth QR.
+    `smooth_qr`).
     """
     observed = check_observed(observed, omega)
     m, n, k = observed.shape
@@ -256,10 +251,4 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
         if len(rse_trace) > window and abs(rse_trace[-1 - window] - value) < STALL_TOL:
             break
 
-    return SolveReport(
-        rse=rse_trace,
-        seconds=seconds,
-        x=x_raw,
-        y=y,
-        estimate=estimate,
-    )
+    return SolveReport(rse=rse_trace, seconds=seconds, estimate=estimate)

@@ -76,7 +76,8 @@ class _Plan:
     """What depends on Omega and the observed values, for one direction and
     q = r*k unknowns: the np.flatnonzero list of entries in (slice, row)
     layout, sorted by subset `labels`, each system's segment of it, the
-    routes and blocks, and the buffers the solves reuse (circulant rows too)."""
+    routes and blocks, and the buffers the solves reuse (circulant rows too).
+    It serves only the `observed` and `omega` objects it was built from."""
 
     def __init__(self, observed, omega, q, y_update, labels=None, t=1):
         if np.shape(observed) != omega.dims:
@@ -97,7 +98,8 @@ class _Plan:
             pos, values = pos[order], values[order]
         count = np.bincount(system, minlength=t * slices)
         start = np.cumsum(count) - count
-        self.q, self.y_update, self.shape, self.dims = q, y_update, (t, slices), omega.dims
+        self.observed, self.omega = observed, omega
+        self.q, self.y_update, self.shape = q, y_update, (t, slices)
         self.rows = np.zeros((size + 1, q))  # circulant rows, then a zero row
         # h >= q: blocks of systems, each with its segment of the entries
         tall = np.flatnonzero(count >= q)
@@ -150,9 +152,10 @@ def _solve(observed, omega, factor, y_update, plan=None, labels=None, t=1):
     factor = _check3(factor)
     p, r, k = factor.shape
     plan = plan or _Plan(observed, omega, r * k, y_update, labels, t)
-    want = (omega.dims, y_update, (p * k + 1, r * k), k)
-    if (plan.dims, plan.y_update, plan.rows.shape, omega.dims[2]) != want:
-        raise DimensionMismatch(f"{omega.dims} vs factor {factor.shape}, plan {plan.dims}")
+    if plan.observed is not observed or plan.omega is not omega:
+        raise DimensionMismatch("the plan was built from another observed tensor or omega")
+    if (plan.y_update, plan.rows.shape, omega.dims[2]) != (y_update, (p * k + 1, r * k), k):
+        raise DimensionMismatch(f"{omega.dims} vs factor {factor.shape}, plan q={plan.q}")
     return _half_step(plan, factor, y_update)
 
 

@@ -31,7 +31,7 @@ from .algebra import (
     _check3,
 )
 from .altmin import SolveReport, trace_error
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidEntries
 from .sampling import check_observed
 
 GRID_POINTS = 5  # candidate weights in lambda_grid
@@ -108,11 +108,10 @@ def _ritz(f, eps, q, steps):
 def svt(t, eps, *, basis=None):
     """Soft-threshold the singular values of every frequency slice by eps.
 
-    Returns (z, tnn_z, basis): the thresholded tensor, its tensor nuclear
-    norm summed from the thresholded values, and the next call's warm start
-    (the leading r + OVERSAMPLE right singular vectors per slice, None past
-    MAX_BLOCK, and a power-step count).  z is rebuilt from the leading r
-    triplets only, r being the most values any slice keeps.
+    Returns (z, basis): the thresholded tensor and the next call's warm
+    start (the leading r + OVERSAMPLE right singular vectors per slice, None
+    past MAX_BLOCK, and a power-step count).  z is rebuilt from the leading
+    r triplets only, r being the most values any slice keeps.
 
     `basis=None` takes a full SVD.  With a basis, the Ritz triplets of its
     block are kept only if r + OVERSAMPLE fits in it, each kept triplet's
@@ -133,7 +132,7 @@ def svt(t, eps, *, basis=None):
     z = from_freq_slices((u[:, :, :r] * s[:, None, :r]) @ vh[:, :r], k)
     width = r + OVERSAMPLE
     basis = (_ct(vh[:, :width]), steps) if width <= min(MAX_BLOCK, s.shape[1]) else None
-    return z, float(freq_weights(k) @ s.sum(axis=1)), basis
+    return z, basis
 
 
 def lambda_grid(observed):
@@ -146,11 +145,10 @@ def admm_complete(observed, omega, cfg, ground_truth=None, start=None):
     """Run the ADMM recursion until both residuals meet cfg.tol or max_iters.
 
     The primal residual ||x - z|| and the dual residual alpha*||z - z_prev||
-    are compared with cfg.tol * ||P_Omega Y||.  `report.objective` records
-    the augmented Lagrangian per iteration but does not end the loop.
-    `start` is an optional (z, q) pair, e.g. the `admm_state` of a run at a
-    larger lambda; by default both start at zero.  The report's
-    `admm_state` holds this run's final (z, q).
+    are compared with cfg.tol * ||P_Omega Y||.  `start` is an optional
+    finite (z, q) pair, e.g. the `admm_state` of a run at a larger lambda;
+    by default both start at zero.  The report's `admm_state` holds this
+    run's final (z, q).
     """
     observed = check_observed(observed, omega)
     mask = omega.mask
@@ -162,11 +160,12 @@ def admm_complete(observed, omega, cfg, ground_truth=None, start=None):
         z, q = (np.asarray(a, dtype=float) for a in start)
         if z.shape != observed.shape or q.shape != observed.shape:
             raise DimensionMismatch(f"start {z.shape}/{q.shape} vs {observed.shape}")
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(q))):
+            raise InvalidEntries("start (z, q) is not finite")
     stop = cfg.tol * np.linalg.norm(observed)
     rse_trace = []
     seconds = []
     t0 = time.perf_counter()
-    objective_trace = []
     basis = None
     for _ in range(cfg.max_iters):
         x = np.where(
@@ -175,28 +174,12 @@ def admm_complete(observed, omega, cfg, ground_truth=None, start=None):
             z - q / alpha,
         )
         z_prev = z
-        z, tnn_z, basis = svt(x + q / alpha, cfg.lam / alpha, basis=basis)
+        z, basis = svt(x + q / alpha, cfg.lam / alpha, basis=basis)
         gap = x - z
-        primal = np.linalg.norm(gap)
         q = q + alpha * gap
-        obj = (
-            0.5 * np.linalg.norm((observed - x) * mask) ** 2
-            + cfg.lam * tnn_z
-            + float(np.sum(gap * q))
-            + 0.5 * alpha * primal**2
-        )
-        objective_trace.append(obj)
         rse_trace.append(trace_error(x, observed, omega, ground_truth))
         seconds.append(time.perf_counter() - t0)
-        if primal <= stop and alpha * np.linalg.norm(z - z_prev) <= stop:
+        if np.linalg.norm(gap) <= stop and alpha * np.linalg.norm(z - z_prev) <= stop:
             break
 
-    return SolveReport(
-        rse=rse_trace,
-        seconds=seconds,
-        x=None,
-        y=None,
-        estimate=x,
-        objective=objective_trace,
-        admm_state=(z, q),
-    )
+    return SolveReport(rse=rse_trace, seconds=seconds, estimate=x, admm_state=(z, q))

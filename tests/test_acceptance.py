@@ -36,6 +36,7 @@ from oracles import (
     tsvd,
     tubal_rank,
 )
+from test_altmin import smooth_qr_outputs
 from test_tls import oracle_solve_y
 
 
@@ -252,7 +253,7 @@ def test_criterion_7_noisy_subspace_iteration():
     announce(7, "noisy subspace iteration decay", ok and elapsed < 10, elapsed)
 
 
-def test_criterion_8_full_variant_sanity():
+def test_criterion_8_full_variant_sanity(monkeypatch):
     start = time.perf_counter()
     truth, observed, omega, base = desk_instance(0, p=0.7)
     cfg = SolverConfig(
@@ -261,6 +262,7 @@ def test_criterion_8_full_variant_sanity():
         variant="full",
         seed=base.derive("full"),
     )
+    factors = smooth_qr_outputs(monkeypatch)
     report = tubal_alt_min(observed, omega, cfg, ground_truth=truth)
     # only feasibility and orthonormality maintenance are asserted; the
     # measured recovery error is reported alongside for the record
@@ -270,7 +272,9 @@ def test_criterion_8_full_variant_sanity():
         and report.estimate is not None
         and np.all(np.isfinite(report.estimate))
     )
-    orth = orthonormality_error(report.y) < 1e-7
+    orth = len(factors) == 2 * len(report.rse) and all(
+        orthonormality_error(f) < 1e-7 for f in factors
+    )
     ok = feasible and orth
     elapsed = time.perf_counter() - start
     announce(
@@ -303,7 +307,7 @@ def test_criterion_9_determinism():
     cfg = AdmmConfig(lam=1.0, max_iters=40)
     a1 = admm_complete(observed, omega, cfg, ground_truth=truth)
     a2 = admm_complete(observed, omega, cfg, ground_truth=truth)
-    if a1.rse != a2.rse or a1.objective != a2.objective:
+    if a1.rse != a2.rse or not all(map(np.array_equal, a1.admm_state, a2.admm_state)):
         ok = False
     # sampling and synthesis
     t1, _ = synth_low_tubal_rank(20, 20, 4, 2, RngSeed(9, "c9"))

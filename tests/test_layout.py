@@ -1,13 +1,18 @@
-"""Every public top-level name in `src/tubalkit`, and every public method and
-property of its classes, must be used by code that ships: the package
-itself, `scripts/`, `perfbench/` or a `pyproject.toml` entry point.
-Reference code that only tests reach belongs in `tests/oracles.py`.
+"""Every public top-level name in `src/tubalkit`, every public method and
+property of its classes, and every field of its dataclasses must be used
+by code that ships: the package itself, `scripts/`, `perfbench/` or a
+`pyproject.toml` entry point.  Reference code that only tests reach belongs
+in `tests/oracles.py`.
 
 A use is a name in the syntax tree outside the name's own definition: a
 variable, an attribute, an imported name, or a string constant equal to it
-(perfbench hooks functions by name).  Comments and docstrings are not uses.
+(perfbench hooks functions by name).  A field is used only where an
+attribute of that name is read or a string constant equals it; a keyword
+argument that sets it is not a read.  Comments and docstrings are not uses.
 An attribute counts whatever object it is read from, and a name whose only
-user is another test-only name passes.
+user is another test-only name passes.  perfbench's `tls` probes bind
+arguments by the strings "x" and "y", so a field named `x` or `y` passes
+unread (the deleted `SolveReport.x` and `.y` did).
 """
 
 import ast
@@ -48,48 +53,77 @@ def _public_definitions(tree):
                     yield owner + name, name, item.lineno, item.end_lineno
 
 
+def _is_dataclass(decorator):
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(func, "id", getattr(func, "attr", None)) == "dataclass"
+
+
+def _dataclass_fields(tree):
+    """(label, name, first line, last line) of each field of a top-level
+    dataclass, labelled Class.name."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                    yield f"{node.name}.{name}", name, item.lineno, item.end_lineno
+
+
 def _uses(tree):
-    """(name, line) of each use in a module's syntax tree."""
+    """(name, line, reads a field) of each use in a module's syntax tree."""
     # a string that stands alone as a statement, a docstring say, is not code
     statements = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, isinstance(node.ctx, ast.Load)
         elif isinstance(node, ast.alias):
             for part in node.name.split("."):
-                yield part, node.lineno
+                yield part, node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) not in statements:
-                yield node.value, node.lineno
+                yield node.value, node.lineno, True
 
 
 def _shipped_uses():
-    """{path: [(name, line), ...]} over the shipped Python files, plus the
-    functions that pyproject.toml's console scripts name."""
+    """{path: [(name, line, reads a field), ...]} over the shipped Python
+    files, plus the functions that pyproject.toml's console scripts name."""
     files = sorted(PACKAGE.glob("*.py"))
     files += sorted((ROOT / "scripts").rglob("*.py"))
     files += sorted((ROOT / "perfbench").glob("*.py"))
     uses = {path: list(_uses(ast.parse(path.read_text()))) for path in files}
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     uses[ROOT / "pyproject.toml"] = [
-        (target.split(":")[-1], 0) for target in project.get("scripts", {}).values()
+        (target.split(":")[-1], 0, False) for target in project.get("scripts", {}).values()
     ]
     return uses
 
 
-def test_every_public_name_in_src_is_used_outside_tests():
+def _unused(definitions, fields):
+    """Labels, module.label, of the `definitions` that shipped code never
+    uses; with `fields`, only field reads count."""
     uses = _shipped_uses()
     unused = []
     for module in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(module.read_text())
-        for label, name, first, last in _public_definitions(tree):
+        for label, name, first, last in definitions(ast.parse(module.read_text())):
             used = any(
-                used_name == name and (path != module or not first <= line <= last)
+                used_name == name
+                and (reads or not fields)
+                and (path != module or not first <= line <= last)
                 for path, found in uses.items()
-                for used_name, line in found
+                for used_name, line, reads in found
             )
             if not used:
                 unused.append(f"{module.stem}.{label}")
+    return unused
+
+
+def test_every_public_name_in_src_is_used_outside_tests():
+    unused = _unused(_public_definitions, fields=False)
     assert not unused, f"only tests use {unused}; move them to tests/oracles.py"
+
+
+def test_every_dataclass_field_in_src_is_read_by_shipped_code():
+    unused = _unused(_dataclass_fields, fields=True)
+    assert not unused, f"shipped code never reads {unused}; delete them"

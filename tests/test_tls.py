@@ -584,6 +584,19 @@ def test_dimension_mismatch_errors():
     # a plan for another sample set, though its x and rank fit, is refused
     with pytest.raises(DimensionMismatch):
         ls_solve_y(np.zeros((4, 6, 3)), full_set(4, 6, 3), np.zeros((4, 2, 3)), plan=plan)
+    # so is a plan for another omega or observed tensor of the same dims
+    rng = np.random.default_rng(20)
+    t = rng.standard_normal((12, 10, 4))
+    o1 = sample_bernoulli(12, 10, 4, 0.6, RngSeed(20, "plan-o1"))
+    o2 = sample_bernoulli(12, 10, 4, 0.6, RngSeed(20, "plan-o2"))
+    x = rng.standard_normal((12, 2, 4))
+    observed = project(t, o1)
+    plan = _Plan(observed, o1, 2 * 4, True)
+    assert np.array_equal(ls_solve_y(observed, o1, x, plan=plan), ls_solve_y(observed, o1, x))
+    with pytest.raises(DimensionMismatch):
+        ls_solve_y(project(t, o2), o2, x, plan=plan)
+    with pytest.raises(DimensionMismatch):
+        ls_solve_y(2 * observed, o1, x, plan=plan)
 
 
 def dense_solve_tall(rows, masks, values, count, sol):
