@@ -57,6 +57,8 @@ class SolverConfig:
             raise ValueError("iterations must be >= 1")
         if self.stall_window < 1:
             raise ValueError("stall_window must be >= 1")
+        if self.stop_rse is not None and not self.stop_rse >= 0:  # NaN included
+            raise ValueError(f"stop_rse {self.stop_rse} must be None or >= 0")
         if self.variant not in ("simplified", "full"):
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -161,27 +163,23 @@ def initialize(observed, omega, r, seed):
     return qr_tensor(z)
 
 
-def smooth_qr(y, eps, mu, seed):
-    """Orthonormalize with escalating Gaussian perturbation until the
-    coherence budget `mu` is met or sigma exceeds the spectral norm of y.
-
-    Returns (z, sigma_used); sigma_used is 0 when no perturbation was needed.
-    """
+def smooth_qr(y, seed):
+    """Orthonormalize with escalating Gaussian perturbation, from
+    SMOOTH_QR_EPS * ||y|| / n up, until the coherence is at most
+    COHERENCE_BUDGET or sigma exceeds the spectral norm of y."""
     y = _check3(y)
     n = y.shape[0]
     z = qr_tensor(y)
     norm_y = spectral_norm(y)
-    sigma_used = 0.0
     if norm_y == 0:
-        return z, sigma_used
-    sigma = eps * norm_y / n
+        return z
+    sigma = SMOOTH_QR_EPS * norm_y / n
     rng = seed.derive("smoothqr").rng()
-    while coherence(z) > mu and sigma <= norm_y:
+    while coherence(z) > COHERENCE_BUDGET and sigma <= norm_y:
         noise = rng.normal(0.0, sigma / math.sqrt(n), size=y.shape)
         z = qr_tensor(y + noise)
-        sigma_used = sigma
         sigma *= 2
-    return z, sigma_used
+    return z
 
 
 def tubal_alt_min(observed, omega, cfg, ground_truth=None):
@@ -232,7 +230,7 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
             return median_ls_x(observed, part, y, seed)
 
         def reorth(z, seed):
-            return smooth_qr(z, SMOOTH_QR_EPS, COHERENCE_BUDGET, seed)[0]
+            return smooth_qr(z, seed)
 
     rse_trace = []
     seconds = []

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .algebra import _check3
 from .altmin import SolverConfig, fit_line, trace_error, tubal_alt_min
 from .errors import (
     BadMagic,
@@ -29,7 +30,7 @@ from .errors import (
     TubalError,
 )
 from .sampling import RngSeed, check_file_dims, project, read_sample_set, sample_bernoulli
-from .tnn_admm import AdmmConfig, admm_complete, lambda_grid
+from .tnn_admm import admm_complete, lambda_grid
 from . import sampling
 
 T3B_MAGIC = b"T3B1"
@@ -38,8 +39,9 @@ ALGORITHMS = ("altmin-full", "altmin-simple", "tnn-admm")
 
 
 def write_tensor(path, t):
-    t = np.asarray(t, dtype=float)
+    t = _check3(np.asarray(t, dtype=float))
     m, n, k = t.shape
+    check_file_dims(m, n, k)  # a file that read_tensor refuses is not written
     with open(path, "wb") as fh:
         fh.write(T3B_MAGIC)
         fh.write(struct.pack("<3I", m, n, k))
@@ -87,6 +89,9 @@ class ExperimentSpec:
     sizes: tuple = (25, 50, 75, 100)
 
     def __post_init__(self):
+        for name in ("rates", "algorithms", "sizes"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must not be empty")
         if min(self.m, self.n, self.k) < 1:
             raise ValueError(f"size m,n,k = {self.m},{self.n},{self.k} must be >= 1")
         if not 1 <= self.rank <= min(self.m, self.n):
@@ -157,10 +162,9 @@ def run_algorithm(spec, algo, observed, omega, truth, run_seed):
         total = 0
         path_start = time.perf_counter()
         for lam in lams:
-            cfg = AdmmConfig(lam=float(lam), alpha=spec.alpha)
             offset = time.perf_counter() - path_start
             report = admm_complete(
-                observed, omega, cfg, ground_truth=truth, start=state
+                observed, omega, float(lam), spec.alpha, ground_truth=truth, start=state
             )
             state = report.admm_state
             total += len(report.rse)

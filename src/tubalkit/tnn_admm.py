@@ -19,7 +19,6 @@ thresholded slices, checked on every call; the full SVD is the fallback.
 """
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,25 +34,12 @@ from .errors import DimensionMismatch, InvalidEntries
 from .sampling import check_observed
 
 GRID_POINTS = 5  # candidate weights in lambda_grid
+MAX_ITERS = 500  # most ADMM iterations of one run
+TOL = 1e-6  # stop when both residuals are within TOL * ||P_Omega Y||
 OVERSAMPLE = 4  # warm-basis columns beyond the kept rank
 MAX_BLOCK = 8  # widest warm basis; wider warm attempts cost more than an SVD
 POWER_STEPS = 6  # most power steps one warm svt call takes
 RITZ_TOL = 1e-13  # kept Ritz triplets' residual, relative to their slice's top value
-
-
-@dataclass
-class AdmmConfig:
-    lam: float
-    alpha: float | None = None  # None: the sampling rate of the run's omega
-    max_iters: int = 500
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        alpha = 1.0 if self.alpha is None else self.alpha
-        if not (0 < self.lam < np.inf and 0 < alpha < np.inf):
-            raise ValueError("lam and alpha must be finite and positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 def tnn(t):
@@ -141,18 +127,21 @@ def lambda_grid(observed):
     return np.geomspace(1e-3, 1.0, GRID_POINTS) * spectral_norm(observed)
 
 
-def admm_complete(observed, omega, cfg, ground_truth=None, start=None):
-    """Run the ADMM recursion until both residuals meet cfg.tol or max_iters.
+def admm_complete(observed, omega, lam, alpha=None, ground_truth=None, start=None):
+    """Run the ADMM recursion with weight `lam` and penalty `alpha` (None:
+    the sampling rate of omega) until both residuals meet TOL or MAX_ITERS.
 
     The primal residual ||x - z|| and the dual residual alpha*||z - z_prev||
-    are compared with cfg.tol * ||P_Omega Y||.  `start` is an optional
+    are compared with TOL * ||P_Omega Y||.  `start` is an optional
     finite (z, q) pair, e.g. the `admm_state` of a run at a larger lambda;
     by default both start at zero.  The report's `admm_state` holds this
     run's final (z, q).
     """
+    if not (0 < lam < np.inf and (alpha is None or 0 < alpha < np.inf)):
+        raise ValueError("lam and alpha must be finite and positive")
     observed = check_observed(observed, omega)
     mask = omega.mask
-    alpha = omega.size / observed.size if cfg.alpha is None else cfg.alpha
+    alpha = omega.size / observed.size if alpha is None else alpha
     if start is None:
         z = np.zeros_like(observed)
         q = np.zeros_like(observed)
@@ -162,19 +151,19 @@ def admm_complete(observed, omega, cfg, ground_truth=None, start=None):
             raise DimensionMismatch(f"start {z.shape}/{q.shape} vs {observed.shape}")
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(q))):
             raise InvalidEntries("start (z, q) is not finite")
-    stop = cfg.tol * np.linalg.norm(observed)
+    stop = TOL * np.linalg.norm(observed)
     rse_trace = []
     seconds = []
     t0 = time.perf_counter()
     basis = None
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         x = np.where(
             mask,
             (observed + (alpha * z - q)) / (1.0 + alpha),
             z - q / alpha,
         )
         z_prev = z
-        z, basis = svt(x + q / alpha, cfg.lam / alpha, basis=basis)
+        z, basis = svt(x + q / alpha, lam / alpha, basis=basis)
         gap = x - z
         q = q + alpha * gap
         rse_trace.append(trace_error(x, observed, omega, ground_truth))

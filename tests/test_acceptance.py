@@ -25,7 +25,8 @@ from tubalkit.sampling import (
     synth_low_tubal_rank,
 )
 from tubalkit.tls import ls_solve_y
-from tubalkit.tnn_admm import AdmmConfig, admm_complete, lambda_grid
+from tubalkit import tnn_admm
+from tubalkit.tnn_admm import admm_complete, lambda_grid
 
 from oracles import (
     circ_expand,
@@ -189,8 +190,7 @@ def test_criterion_5_baseline_comparison():
     truth, observed, omega, base, alt_report = run_simplified(0)
     best = None
     for lam in lambda_grid(observed):
-        cfg = AdmmConfig(lam=float(lam), max_iters=500)
-        report = admm_complete(observed, omega, cfg, ground_truth=truth)
+        report = admm_complete(observed, omega, float(lam), ground_truth=truth)
         if best is None or report.rse[-1] < best.rse[-1]:
             best = report
     ratio = best.rse[-1] / alt_report.rse[-1]
@@ -286,7 +286,7 @@ def test_criterion_8_full_variant_sanity(monkeypatch):
     )
 
 
-def test_criterion_9_determinism():
+def test_criterion_9_determinism(monkeypatch):
     start = time.perf_counter()
     ok = True
     # simplified and full solvers
@@ -304,9 +304,9 @@ def test_criterion_9_determinism():
             ok = False
     # convex baseline
     truth, observed, omega, _ = desk_instance(1)
-    cfg = AdmmConfig(lam=1.0, max_iters=40)
-    a1 = admm_complete(observed, omega, cfg, ground_truth=truth)
-    a2 = admm_complete(observed, omega, cfg, ground_truth=truth)
+    monkeypatch.setattr(tnn_admm, "MAX_ITERS", 40)
+    a1 = admm_complete(observed, omega, 1.0, ground_truth=truth)
+    a2 = admm_complete(observed, omega, 1.0, ground_truth=truth)
     if a1.rse != a2.rse or not all(map(np.array_equal, a1.admm_state, a2.admm_state)):
         ok = False
     # sampling and synthesis

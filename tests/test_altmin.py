@@ -176,16 +176,17 @@ def test_initialize_partial_observation_angle():
     assert hits >= 2
 
 
-def test_smooth_qr_low_coherence_no_perturbation():
+def test_smooth_qr_low_coherence_no_perturbation(monkeypatch):
     rng = np.random.default_rng(7)
     y = qr_tensor(rng.standard_normal((12, 3, 4)))
-    mu = 12 / 3  # maximum possible coherence, guard can never trigger
-    z, sigma = smooth_qr(y, 0.01, mu, RngSeed(7, "sqr"))
-    assert sigma == 0.0
+    # maximum possible coherence, guard can never trigger
+    monkeypatch.setattr(altmin, "COHERENCE_BUDGET", 12 / 3)
+    z = smooth_qr(y, RngSeed(7, "sqr"))
+    assert np.array_equal(z, qr_tensor(y))  # no perturbation
     assert frobenius_norm(z - y) < 1e-8
 
 
-def test_smooth_qr_forces_incoherence():
+def test_smooth_qr_forces_incoherence(monkeypatch):
     # single standard-basis lateral slice: coherence n, budget 8; the
     # perturbation scale is capped at the spectral norm of y, which bounds
     # how much incoherence the loop can force, so n stays moderate here
@@ -193,9 +194,10 @@ def test_smooth_qr_forces_incoherence():
     y = np.zeros((n, 1, 3))
     y[0, 0, 0] = 1.0
     assert np.isclose(coherence(y), n)
+    monkeypatch.setattr(altmin, "COHERENCE_BUDGET", 8.0)
     for s in range(10):
-        z, sigma = smooth_qr(y, 0.01, 8.0, RngSeed(s, "force"))
-        assert sigma > 0.0
+        z = smooth_qr(y, RngSeed(s, "force"))
+        assert not np.array_equal(z, qr_tensor(y))  # perturbed
         assert orthonormality_error(z) < 1e-7
         assert coherence(z) <= 8.0
 
@@ -214,9 +216,8 @@ def smooth_qr_outputs(monkeypatch):
     factors = []
 
     def recorded(*args):
-        out = smooth_qr(*args)
-        factors.append(out[0])
-        return out
+        factors.append(smooth_qr(*args))
+        return factors[-1]
 
     monkeypatch.setattr(altmin, "smooth_qr", recorded)
     return factors
@@ -297,6 +298,13 @@ def test_rank_above_min_dimension_is_typed_error(variant, rank):
 def test_stall_window_must_be_positive(window):
     with pytest.raises(ValueError, match="stall_window"):
         SolverConfig(target_rank=1, stall_window=window)
+
+
+@pytest.mark.parametrize("target", [np.nan, -1e-6, -np.inf])
+def test_stop_rse_must_be_none_or_nonnegative(target):
+    # no RSE is <= NaN or a negative target, so it would switch the stop rule off
+    with pytest.raises(ValueError, match="stop_rse"):
+        SolverConfig(target_rank=1, stop_rse=target)
 
 
 def test_non_finite_observation_is_typed_error():

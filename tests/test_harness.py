@@ -15,6 +15,7 @@ from tubalkit import cli, harness, tnn_admm
 from tubalkit.altmin import SolverConfig, rse, trace_error, tubal_alt_min
 from tubalkit.errors import (
     BadMagic,
+    DimensionMismatch,
     DimOverflow,
     InsufficientSamples,
     SolverBreakdown,
@@ -32,7 +33,7 @@ from tubalkit.harness import (
     write_tensor,
 )
 from tubalkit.sampling import RngSeed, SampleSet, sample_bernoulli
-from tubalkit.tnn_admm import AdmmConfig, admm_complete
+from tubalkit.tnn_admm import admm_complete
 
 from oracles import write_sample_set
 
@@ -109,6 +110,22 @@ def test_t3b_dim_overflow(tmp_path):
         read_tensor(zero)
 
 
+@pytest.mark.parametrize(
+    "shape, error",
+    [
+        ((0, 5, 5), DimOverflow),
+        ((5, 5, 0), DimOverflow),
+        ((3, 4), DimensionMismatch),
+        ((2, 2, 2, 2), DimensionMismatch),
+    ],
+)
+def test_t3b_writer_refuses_what_the_reader_refuses(tmp_path, shape, error):
+    path = tmp_path / "bad.t3b"
+    with pytest.raises(error):
+        write_tensor(path, np.zeros(shape))
+    assert not path.exists()
+
+
 def test_experiment_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(rates=[0.0])
@@ -116,6 +133,19 @@ def test_experiment_spec_validation():
         ExperimentSpec(repetitions=0)
     with pytest.raises(ValueError):
         ExperimentSpec(algorithms=("bogus",))
+
+
+@pytest.mark.parametrize("name", ["rates", "algorithms", "sizes"])
+def test_empty_list_fields_are_refused(tmp_path, name):
+    # the drivers read the first rate and algorithm, and a CSV of no sizes
+    # or algorithms holds only its header
+    with pytest.raises(ValueError, match=f"{name} must not be empty"):
+        ExperimentSpec(**{name: []})
+    src, dst = tmp_path / "t.t3b", tmp_path / "o.t3b"
+    write_tensor(src, np.ones((4, 4, 2)))
+    with pytest.raises(ValueError, match=f"{name} must not be empty"):
+        harness.complete_file(str(src), str(dst), rank=1, **{name: []})
+    assert not dst.exists()
 
 
 def tiny_spec(out_dir, **kwargs):
@@ -663,7 +693,7 @@ def test_empty_sample_set_is_insufficient_samples_for_every_solver(tmp_path, alg
     solvers = {
         "altmin-full": lambda: tubal_alt_min(t, omega, SolverConfig(1, variant="full")),
         "altmin-simple": lambda: tubal_alt_min(t, omega, SolverConfig(1)),
-        "tnn-admm": lambda: admm_complete(t, omega, AdmmConfig(lam=1.0)),
+        "tnn-admm": lambda: admm_complete(t, omega, 1.0),
     }
     with pytest.raises(InsufficientSamples):
         solvers[algo]()

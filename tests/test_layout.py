@@ -6,13 +6,16 @@ in `tests/oracles.py`.
 
 A use is a name in the syntax tree outside the name's own definition: a
 variable, an attribute, an imported name, or a string constant equal to it
-(perfbench hooks functions by name).  A field is used only where an
-attribute of that name is read or a string constant equals it; a keyword
-argument that sets it is not a read.  Comments and docstrings are not uses.
-An attribute counts whatever object it is read from, and a name whose only
-user is another test-only name passes.  perfbench's `tls` probes bind
-arguments by the strings "x" and "y", so a field named `x` or `y` passes
-unread (the deleted `SolveReport.x` and `.y` did).
+(perfbench hooks functions by name).  A field must be both read and set.
+It is read where an attribute of that name is read or a string constant
+equals it; a keyword argument that sets it is not a read.  It is set where
+it is passed by keyword, or by position to a call of its class, stored as
+an attribute, or named in a string constant (the CLI's dests).  Comments
+and docstrings are not uses.  An attribute or a keyword counts whatever
+object or call it belongs to, and a name whose only user is another
+test-only name passes.  perfbench's `tls` probes bind arguments by the
+strings "x" and "y", so a field named `x` or `y` passes unread (the deleted
+`SolveReport.x` and `.y` did).
 """
 
 import ast
@@ -69,50 +72,65 @@ def _dataclass_fields(tree):
                     yield f"{node.name}.{name}", name, item.lineno, item.end_lineno
 
 
-def _uses(tree):
-    """(name, line, reads a field) of each use in a module's syntax tree."""
+def _uses(tree, orders):
+    """(name, line, kind) of each use in a module's syntax tree.  `orders`
+    maps a dataclass name to its fields in order, so that the i-th
+    positional argument of a call to it sets its i-th field."""
     # a string that stands alone as a statement, a docstring say, is not code
     statements = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno, False
+            yield node.id, node.lineno, "name"
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno, isinstance(node.ctx, ast.Load)
+            kind = {ast.Load: "read", ast.Store: "store"}.get(type(node.ctx), "name")
+            yield node.attr, node.lineno, kind
         elif isinstance(node, ast.alias):
             for part in node.name.split("."):
-                yield part, node.lineno, False
+                yield part, node.lineno, "name"
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) not in statements:
-                yield node.value, node.lineno, True
+                yield node.value, node.lineno, "string"
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg, node.value.lineno, "keyword"
+        elif isinstance(node, ast.Call):
+            func = getattr(node.func, "id", getattr(node.func, "attr", None))
+            # positions after a *args are unknown
+            starred = [isinstance(a, ast.Starred) for a in node.args] + [True]
+            for name in orders.get(func, [])[: starred.index(True)]:
+                yield name, node.lineno, "position"
 
 
 def _shipped_uses():
-    """{path: [(name, line, reads a field), ...]} over the shipped Python
-    files, plus the functions that pyproject.toml's console scripts name."""
+    """{path: [(name, line, kind), ...]} over the shipped Python files, plus
+    the functions that pyproject.toml's console scripts name."""
+    orders = {}
+    for module in PACKAGE.glob("*.py"):
+        for label, name, _, _ in _dataclass_fields(ast.parse(module.read_text())):
+            orders.setdefault(label.split(".")[0], []).append(name)
     files = sorted(PACKAGE.glob("*.py"))
     files += sorted((ROOT / "scripts").rglob("*.py"))
     files += sorted((ROOT / "perfbench").glob("*.py"))
-    uses = {path: list(_uses(ast.parse(path.read_text()))) for path in files}
+    uses = {path: list(_uses(ast.parse(path.read_text()), orders)) for path in files}
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     uses[ROOT / "pyproject.toml"] = [
-        (target.split(":")[-1], 0, False) for target in project.get("scripts", {}).values()
+        (target.split(":")[-1], 0, "name") for target in project.get("scripts", {}).values()
     ]
     return uses
 
 
-def _unused(definitions, fields):
+def _unused(definitions, kinds):
     """Labels, module.label, of the `definitions` that shipped code never
-    uses; with `fields`, only field reads count."""
+    uses by one of the `kinds` of use."""
     uses = _shipped_uses()
     unused = []
     for module in sorted(PACKAGE.glob("*.py")):
         for label, name, first, last in definitions(ast.parse(module.read_text())):
             used = any(
                 used_name == name
-                and (reads or not fields)
+                and kind in kinds
                 and (path != module or not first <= line <= last)
                 for path, found in uses.items()
-                for used_name, line, reads in found
+                for used_name, line, kind in found
             )
             if not used:
                 unused.append(f"{module.stem}.{label}")
@@ -120,10 +138,15 @@ def _unused(definitions, fields):
 
 
 def test_every_public_name_in_src_is_used_outside_tests():
-    unused = _unused(_public_definitions, fields=False)
+    unused = _unused(_public_definitions, {"name", "read", "store", "string"})
     assert not unused, f"only tests use {unused}; move them to tests/oracles.py"
 
 
 def test_every_dataclass_field_in_src_is_read_by_shipped_code():
-    unused = _unused(_dataclass_fields, fields=True)
+    unused = _unused(_dataclass_fields, {"read", "string"})
     assert not unused, f"shipped code never reads {unused}; delete them"
+
+
+def test_every_dataclass_field_in_src_is_set_by_shipped_code():
+    unused = _unused(_dataclass_fields, {"keyword", "position", "store", "string"})
+    assert not unused, f"shipped code never sets {unused}; make them constants"

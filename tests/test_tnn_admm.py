@@ -18,7 +18,6 @@ from tubalkit.sampling import (
     synth_low_tubal_rank,
 )
 from tubalkit.tnn_admm import (
-    AdmmConfig,
     admm_complete,
     lambda_grid,
     svt,
@@ -169,45 +168,38 @@ def test_lambda_helpers():
 
 
 def test_admm_config_validation():
-    with pytest.raises(ValueError):
-        AdmmConfig(lam=0.0)
-    with pytest.raises(ValueError):
-        AdmmConfig(lam=1.0, alpha=-1.0)
-    with pytest.raises(ValueError):
-        AdmmConfig(lam=1.0, max_iters=0)
+    observed = np.ones((4, 4, 2))
+    omega = SampleSet(np.ones(observed.shape, dtype=bool))
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="finite and positive"):
-            AdmmConfig(lam=bad)
+            admm_complete(observed, omega, bad)
         with pytest.raises(ValueError, match="finite and positive"):
-            AdmmConfig(lam=1.0, alpha=bad)
+            admm_complete(observed, omega, 1.0, alpha=bad)
 
 
-def test_admm_tiny_lambda_full_observation():
+def test_admm_tiny_lambda_full_observation(monkeypatch):
     t, _ = synth_low_tubal_rank(12, 12, 4, 2, RngSeed(5, "full"))
     omega = SampleSet(np.ones((12, 12, 4), dtype=bool))
-    cfg = AdmmConfig(lam=1e-8, max_iters=300, tol=1e-16)
-    report = admm_complete(t, omega, cfg, ground_truth=t)
+    monkeypatch.setattr(tnn_admm, "MAX_ITERS", 300)
+    monkeypatch.setattr(tnn_admm, "TOL", 1e-16)
+    report = admm_complete(t, omega, 1e-8, ground_truth=t)
     assert report.rse[-1] <= 1e-6
 
 
 def test_admm_empty_omega():
     omega = SampleSet(np.zeros((4, 4, 2), dtype=bool))
     with pytest.raises(InsufficientSamples):
-        admm_complete(np.zeros((4, 4, 2)), omega, AdmmConfig(lam=1.0))
+        admm_complete(np.zeros((4, 4, 2)), omega, 1.0)
     with pytest.raises(DimensionMismatch):
-        admm_complete(
-            np.zeros((4, 4, 3)),
-            omega,
-            AdmmConfig(lam=1.0),
-        )
+        admm_complete(np.zeros((4, 4, 3)), omega, 1.0)
     full = SampleSet(np.ones((4, 4, 2), dtype=bool))
     observed = np.zeros((4, 4, 2))
     observed[1, 2, 0] = np.nan
     with pytest.raises(InvalidEntries):
-        admm_complete(observed, full, AdmmConfig(lam=1.0))
+        admm_complete(observed, full, 1.0)
     wrong = np.zeros((4, 4, 3))
     with pytest.raises(DimensionMismatch):
-        admm_complete(np.zeros((4, 4, 2)), full, AdmmConfig(lam=1.0), start=(wrong, wrong))
+        admm_complete(np.zeros((4, 4, 2)), full, 1.0, start=(wrong, wrong))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -218,15 +210,14 @@ def test_admm_non_finite_start_is_invalid_entries(bad, which):
     start = [np.zeros_like(t), np.zeros_like(t)]
     start[which][2, 5, 1] = bad
     with pytest.raises(InvalidEntries):
-        admm_complete(project(t, omega), omega, AdmmConfig(lam=1.0), start=tuple(start))
+        admm_complete(project(t, omega), omega, 1.0, start=tuple(start))
 
 
 def test_admm_recovers_on_desk_instance():
     truth, observed, omega = desk_instance()
     best = None
     for lam in lambda_grid(observed):
-        cfg = AdmmConfig(lam=float(lam), max_iters=500)
-        report = admm_complete(observed, omega, cfg, ground_truth=truth)
+        report = admm_complete(observed, omega, float(lam), ground_truth=truth)
         if best is None or report.rse[-1] < best:
             best = report.rse[-1]
     assert best <= 1e-2
@@ -247,7 +238,8 @@ def test_admm_objective_monotone_after_transient(monkeypatch):
     truth, observed, omega = desk_instance()
     lam = float(lambda_grid(observed)[0])
     alpha = omega.size / observed.size
-    cfg = AdmmConfig(lam=lam, max_iters=300, tol=1e-13)
+    monkeypatch.setattr(tnn_admm, "MAX_ITERS", 300)
+    monkeypatch.setattr(tnn_admm, "TOL", 1e-13)
     calls = []
 
     def recorded(t, eps, *, basis=None):
@@ -256,7 +248,7 @@ def test_admm_objective_monotone_after_transient(monkeypatch):
         return out
 
     monkeypatch.setattr(tnn_admm, "svt", recorded)
-    admm_complete(observed, omega, cfg, ground_truth=truth)
+    admm_complete(observed, omega, lam, ground_truth=truth)
     obj, q_prev = [], np.zeros_like(observed)
     for t, z in calls:
         q = alpha * (t - z)
@@ -267,44 +259,45 @@ def test_admm_objective_monotone_after_transient(monkeypatch):
         assert cur <= prev + 1e-10
 
 
-def test_admm_feasibility_gap_at_convergence():
+def test_admm_feasibility_gap_at_convergence(monkeypatch):
     truth, observed, omega = desk_instance()
     lam = float(lambda_grid(observed)[1])
-    cfg = AdmmConfig(lam=lam, max_iters=500, tol=1e-9)
-    report = admm_complete(observed, omega, cfg, ground_truth=truth)
+    monkeypatch.setattr(tnn_admm, "TOL", 1e-9)
+    report = admm_complete(observed, omega, lam, ground_truth=truth)
     assert len(report.rse) < 500  # both residuals met tol
     z = report.admm_state[0]
     assert frobenius_norm(report.estimate - z) <= 1e-6 * frobenius_norm(observed)
 
 
-def test_admm_determinism():
+def test_admm_determinism(monkeypatch):
     truth, observed, omega = desk_instance()
-    cfg = AdmmConfig(lam=1.0, max_iters=50)
-    r1 = admm_complete(observed, omega, cfg, ground_truth=truth)
-    r2 = admm_complete(observed, omega, cfg, ground_truth=truth)
+    monkeypatch.setattr(tnn_admm, "MAX_ITERS", 50)
+    r1 = admm_complete(observed, omega, 1.0, ground_truth=truth)
+    r2 = admm_complete(observed, omega, 1.0, ground_truth=truth)
     assert r1.rse == r2.rse
     assert all(map(np.array_equal, r1.admm_state, r2.admm_state))
     assert np.array_equal(r1.estimate, r2.estimate)
 
 
-def test_admm_training_residual_without_truth():
+def test_admm_training_residual_without_truth(monkeypatch):
     _, observed, omega = desk_instance()
-    cfg = AdmmConfig(lam=1.0, max_iters=30)
-    report = admm_complete(observed, omega, cfg)
+    monkeypatch.setattr(tnn_admm, "MAX_ITERS", 30)
+    report = admm_complete(observed, omega, 1.0)
     assert report.rse[-1] == trace_error(report.estimate, observed, omega)
     assert all(v >= 0 for v in report.rse)
 
 
-def test_admm_fixed_point_does_not_depend_on_alpha():
+def test_admm_fixed_point_does_not_depend_on_alpha(monkeypatch):
     # q is the unscaled multiplier in every update, so each penalty converges
     # to the same optimum; scaling it in the x-update alone moved the optimum
     t, _ = synth_low_tubal_rank(20, 20, 5, 2, RngSeed(11, "alpha"))
     omega = sample_bernoulli(20, 20, 5, 0.5, RngSeed(11, "alpha-mask"))
     observed = project(t, omega)
     finals = []
+    monkeypatch.setattr(tnn_admm, "MAX_ITERS", 3000)
+    monkeypatch.setattr(tnn_admm, "TOL", 1e-12)
     for alpha in (0.5, 1.0, 2.0, 4.0):
-        cfg = AdmmConfig(lam=1.0, alpha=alpha, max_iters=3000, tol=1e-12)
-        report = admm_complete(observed, omega, cfg)
+        report = admm_complete(observed, omega, 1.0, alpha)
         assert len(report.rse) < 3000
         z, q = report.admm_state
         finals.append(lagrangian(observed, omega, 1.0, alpha, report.estimate, z, q))
@@ -314,10 +307,8 @@ def test_admm_fixed_point_does_not_depend_on_alpha():
 def test_admm_default_alpha_is_sampling_rate():
     truth, observed, omega = desk_instance()
     rate = omega.size / observed.size
-    default = admm_complete(observed, omega, AdmmConfig(lam=1.0), ground_truth=truth)
-    explicit = admm_complete(
-        observed, omega, AdmmConfig(lam=1.0, alpha=rate), ground_truth=truth
-    )
+    default = admm_complete(observed, omega, 1.0, ground_truth=truth)
+    explicit = admm_complete(observed, omega, 1.0, rate, ground_truth=truth)
     assert default.rse == explicit.rse
     assert all(map(np.array_equal, default.admm_state, explicit.admm_state))
     assert np.array_equal(default.estimate, explicit.estimate)
@@ -330,10 +321,7 @@ def test_top_lambda_exact_start_stops_after_one_iteration():
     lam = float(lambda_grid(observed)[-1])
     for alpha in (None, 0.25, 1.0, 4.0):
         report = admm_complete(
-            observed,
-            omega,
-            AdmmConfig(lam=lam, alpha=alpha),
-            start=(np.zeros_like(observed), observed),
+            observed, omega, lam, alpha, start=(np.zeros_like(observed), observed)
         )
         assert len(report.rse) == 1
         z, _ = report.admm_state
@@ -342,9 +330,8 @@ def test_top_lambda_exact_start_stops_after_one_iteration():
 
 def test_admm_warm_start_resumes_from_state():
     _, observed, omega = desk_instance()
-    cfg = AdmmConfig(lam=1.0)
-    first = admm_complete(observed, omega, cfg)
-    again = admm_complete(observed, omega, cfg, start=first.admm_state)
+    first = admm_complete(observed, omega, 1.0)
+    again = admm_complete(observed, omega, 1.0, start=first.admm_state)
     assert len(again.rse) < len(first.rse)
     assert frobenius_norm(again.estimate - first.estimate) <= 1e-5 * frobenius_norm(observed)
 
@@ -355,7 +342,7 @@ def test_warm_lambda_path_matches_cold_optimum(monkeypatch):
 
     def recorded(*args, **kwargs):
         report = admm_complete(*args, **kwargs)
-        runs.append((args[2].lam, report))
+        runs.append((args[2], report))
         return report
 
     monkeypatch.setattr(harness, "admm_complete", recorded)
@@ -365,14 +352,13 @@ def test_warm_lambda_path_matches_cold_optimum(monkeypatch):
     assert lams == sorted(lams, reverse=True) and len(lams) == 5
     assert kept is runs[-1][1]
     scale = frobenius_norm(observed)
-    cold_iters = 0
+    cold_iters = sum(len(admm_complete(observed, omega, lam).rse) for lam in lams)
+    assert len(runs[-1][1].rse) < tnn_admm.MAX_ITERS  # smallest λ converged
+    assert all(len(warm.rse) < tnn_admm.MAX_ITERS for _, warm in runs)
+    assert sum(len(warm.rse) for _, warm in runs) < cold_iters
+    monkeypatch.setattr(tnn_admm, "MAX_ITERS", 20000)
+    monkeypatch.setattr(tnn_admm, "TOL", 1e-12)
     for lam, warm in runs:
-        cold_iters += len(admm_complete(observed, omega, AdmmConfig(lam=lam)).rse)
-        exact = admm_complete(
-            observed, omega, AdmmConfig(lam=lam, tol=1e-12, max_iters=20000)
-        )
+        exact = admm_complete(observed, omega, lam)
         assert len(exact.rse) < 20000
         assert frobenius_norm(warm.estimate - exact.estimate) <= 1e-5 * scale
-    assert len(runs[-1][1].rse) < AdmmConfig.max_iters  # smallest λ converged
-    assert all(len(warm.rse) < AdmmConfig.max_iters for _, warm in runs)
-    assert sum(len(warm.rse) for _, warm in runs) < cold_iters
