@@ -25,6 +25,7 @@ from .errors import (
     BadMagic,
     FileFormatError,
     InsufficientSamples,
+    InvalidEntries,
     SolverBreakdown,
     TruncatedFile,
     TubalError,
@@ -39,6 +40,8 @@ ALGORITHMS = ("altmin-full", "altmin-simple", "tnn-admm")
 
 
 def write_tensor(path, t):
+    if np.iscomplexobj(t):  # a float conversion would keep the real part alone
+        raise InvalidEntries(f"expected a real tensor, got {np.asarray(t).dtype}")
     t = _check3(np.asarray(t, dtype=float))
     m, n, k = t.shape
     check_file_dims(m, n, k)  # a file that read_tensor refuses is not written
@@ -90,8 +93,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for name in ("rates", "algorithms", "sizes"):
-            if len(getattr(self, name)) == 0:
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise ValueError(f"{name} must not be empty")
+            if len(set(values)) < len(values):  # a sweep would run and average copies
+                raise ValueError(f"{name} must not repeat a value: {values}")
         if min(self.m, self.n, self.k) < 1:
             raise ValueError(f"size m,n,k = {self.m},{self.n},{self.k} must be >= 1")
         if not 1 <= self.rank <= min(self.m, self.n):

@@ -18,6 +18,7 @@ from tubalkit.errors import (
     DimensionMismatch,
     DimOverflow,
     InsufficientSamples,
+    InvalidEntries,
     SolverBreakdown,
     TruncatedFile,
 )
@@ -126,6 +127,14 @@ def test_t3b_writer_refuses_what_the_reader_refuses(tmp_path, shape, error):
     assert not path.exists()
 
 
+def test_t3b_writer_refuses_a_complex_tensor(tmp_path):
+    # a float conversion would write the real part alone
+    path = tmp_path / "complex.t3b"
+    with pytest.raises(InvalidEntries):
+        write_tensor(path, np.ones((2, 2, 2)) * (1 + 2j))
+    assert not path.exists()
+
+
 def test_experiment_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(rates=[0.0])
@@ -146,6 +155,23 @@ def test_empty_list_fields_are_refused(tmp_path, name):
     with pytest.raises(ValueError, match=f"{name} must not be empty"):
         harness.complete_file(str(src), str(dst), rank=1, **{name: []})
     assert not dst.exists()
+
+
+@pytest.mark.parametrize(
+    "name, values, argv",
+    [
+        ("rates", [0.7, 0.7], ["sweep", "--rates", "0.7,0.7"]),
+        ("algorithms", ("tnn-admm",) * 2, ["sweep", "--algo", "tnn-admm", "--algo", "tnn-admm"]),
+        ("sizes", (8, 12, 8), ["scale", "--tube", "2", "--sizes", "8,12,8"]),
+    ],
+)
+def test_repeated_list_values_are_refused(tmp_path, capsys, name, values, argv):
+    # a sweep would run the same solve once per copy and average the copies
+    with pytest.raises(ValueError, match=f"{name} must not repeat"):
+        ExperimentSpec(**{name: values})
+    assert cli.main([*argv, "--rank", "1", "--out", str(tmp_path)]) == 2
+    assert f"bad argument: {name} must not repeat" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def tiny_spec(out_dir, **kwargs):

@@ -87,29 +87,53 @@ def test_svt_truncated_rebuild_matches_full():
 
 
 def test_warm_svt_matches_full_svd_on_a_lambda_path(monkeypatch):
-    # replay every svt call of a real path, basis included, against the full SVD
+    # replay every svt call of a real path, basis included, against the full
+    # SVD; then replay each warm call with its chain forced to resync, by a
+    # bound at eps (no room for the Ritz residual) or by a count one above
+    # what a slice keeps
     truth, observed, omega = desk_instance()
-    calls, taken = [], []
-    ritz = tnn_admm._ritz
+    calls, verdicts = [], []
+    chained = tnn_admm._chained_tail
 
     def recorded(t, eps, *, basis=None):
         calls.append((t, eps, basis))
         return svt(t, eps, basis=basis)
 
     def spied(*args):
-        out = ritz(*args)
-        taken.append(out[0] is not None)
+        out = chained(*args)
+        verdicts.append(out is not None)
         return out
 
     monkeypatch.setattr(tnn_admm, "svt", recorded)
-    monkeypatch.setattr(tnn_admm, "_ritz", spied)
+    monkeypatch.setattr(tnn_admm, "_chained_tail", spied)
     spec = harness.ExperimentSpec(m=30, n=30, k=6, rank=2)
     harness.run_algorithm(spec, "tnn-admm", observed, omega, truth, None)
-    assert sum(taken) >= len(calls) // 2  # most calls keep their Ritz triplets
+    assert sum(verdicts) >= len(calls) // 2  # most calls are certified by the chain
+    assert not all(verdicts)  # and some resync by the power bound
+    fell = forced_checks = 0
     for t, eps, basis in calls:
-        z, _ = svt(t, eps, basis=basis)
         full, _ = svt(t, eps)
-        assert frobenius_norm(z - full) <= 1e-12 * frobenius_norm(full)
+        if basis is None:
+            continue
+        q, steps, (_, counts, _) = basis
+        kept = np.count_nonzero(np.linalg.svd(freq_slices(t), compute_uv=False) > eps, axis=1)
+        above = kept.copy()
+        above[0] += 1
+        chains = (
+            basis[2],
+            (freq_slices(t), kept, np.full(len(kept), eps)),
+            (freq_slices(t), above, np.zeros(len(kept))),
+        )
+        for forced, chain in enumerate(chains):
+            del verdicts[:]
+            z, _ = svt(t, eps, basis=(q, steps, chain))
+            assert frobenius_norm(z - full) <= 1e-12 * frobenius_norm(full)
+            if forced or np.any(kept < counts):
+                assert not any(verdicts)
+            forced_checks += bool(forced) * len(verdicts)
+        fell += bool(np.any(kept < counts))
+    assert fell > 0  # the path has a slice whose kept count falls
+    assert forced_checks >= len(calls)  # the forced chains reach the rule
 
 
 def spectrum_tensor(values, k=3, seed=8):
@@ -137,10 +161,13 @@ def test_warm_svt_falls_back_when_kept_rank_outgrows_block():
 def test_warm_svt_falls_back_when_the_tail_bound_exceeds_eps():
     # ten discarded values of 0.95 under eps = 1: (sum s^16)^(1/16) = 1.10
     # cannot prove them below eps, so the call takes the full SVD; a tail of
-    # 0.5 passes (0.58), though its Frobenius norm 1.58 would not
-    for level, warm in ((0.95, False), (0.5, True)):
-        t = spectrum_tensor([10.0, 8.0] + [level] * 10)
-        _, basis = svt(t, 1.0)
+    # 0.5 passes (0.58), though its Frobenius norm 1.58 would not.  Each
+    # basis comes from the other tensor, 0.45 * sqrt(10) = 1.42 > eps away in
+    # every slice, so its chain cannot certify and the power bound decides.
+    tensors = {level: spectrum_tensor([10.0, 8.0] + [level] * 10) for level in (0.95, 0.5)}
+    for level, other, warm in ((0.95, 0.5, False), (0.5, 0.95, True)):
+        t = tensors[level]
+        _, basis = svt(tensors[other], 1.0)
         assert (tnn_admm._ritz(freq_slices(t), 1.0, *basis)[0] is not None) == warm
         z, _ = svt(t, 1.0, basis=basis)
         full, _ = svt(t, 1.0)
@@ -148,6 +175,14 @@ def test_warm_svt_falls_back_when_the_tail_bound_exceeds_eps():
             assert frobenius_norm(z - full) <= 1e-12 * frobenius_norm(full)
         else:
             assert np.array_equal(z, full)
+    # its own basis carries the exact tail 0.95 from the full SVD: the chain
+    # proves the tail that the power bound refuses
+    t = tensors[0.95]
+    _, basis = svt(t, 1.0)
+    assert tnn_admm._ritz(freq_slices(t), 1.0, *basis)[0] is not None
+    z, _ = svt(t, 1.0, basis=basis)
+    full, _ = svt(t, 1.0)
+    assert frobenius_norm(z - full) <= 1e-12 * frobenius_norm(full)
 
 
 def test_svt_is_contraction():
@@ -334,6 +369,31 @@ def test_admm_warm_start_resumes_from_state():
     again = admm_complete(observed, omega, 1.0, start=first.admm_state)
     assert len(again.rse) < len(first.rse)
     assert frobenius_norm(again.estimate - first.estimate) <= 1e-5 * frobenius_norm(observed)
+
+
+def test_admm_leaves_observed_and_start_unchanged(monkeypatch):
+    # q is updated in place; the harness passes its P_Omega Y as the top run's q
+    truth, observed, omega = desk_instance()
+    before = observed.copy()
+    start = (np.ones_like(observed), observed)
+    report = admm_complete(observed, omega, 1.0, start=start)
+    assert np.array_equal(observed, before) and np.all(start[0] == 1.0)
+    state = [a.copy() for a in report.admm_state]
+    admm_complete(observed, omega, 0.5, start=report.admm_state)
+    assert all(map(np.array_equal, report.admm_state, state))
+    starts = []
+
+    def recorded(*args, start=None, **kwargs):
+        copies = [a.copy() for a in start]
+        starts.append((start, copies))
+        return admm_complete(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(harness, "admm_complete", recorded)
+    spec = harness.ExperimentSpec(m=30, n=30, k=6, rank=2)
+    harness.run_algorithm(spec, "tnn-admm", observed, omega, truth, None)
+    assert np.array_equal(observed, before) and len(starts) == 5
+    for start, copies in starts:
+        assert all(map(np.array_equal, start, copies))
 
 
 def test_warm_lambda_path_matches_cold_optimum(monkeypatch):
