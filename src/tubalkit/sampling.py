@@ -83,17 +83,19 @@ def check_observed(observed, omega):
 
 
 def split_labels(omega, t, seed):
-    """Subset label in [0, t) of every observed entry, in row-major order:
-    a uniformly random partition of Omega into t parts."""
+    """A uniformly random partition of Omega into t parts, as a grid of
+    omega.dims: each observed entry's subset in [0, t), drawn in row-major
+    order, and -1 outside Omega."""
     if t < 1:
         raise ValueError("need at least one subset")
-    return seed.rng().integers(0, t, size=omega.size)
+    labels = np.full(omega.dims, -1)
+    labels[omega.mask] = seed.rng().integers(0, t, size=omega.size)
+    return labels
 
 
 def split(omega, t, seed):
     """Partition Omega into the t disjoint subsets that `split_labels` draws."""
-    labels = np.full(omega.dims, -1)
-    labels[omega.mask] = split_labels(omega, t, seed)
+    labels = split_labels(omega, t, seed)
     return [SampleSet(labels == part) for part in range(t)]
 
 

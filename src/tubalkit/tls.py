@@ -75,9 +75,10 @@ def _blocks(n, step):
 class _Plan:
     """What depends on Omega and the observed values, for one direction and
     q = r*k unknowns: the np.flatnonzero list of entries in (slice, row)
-    layout, sorted by subset `labels`, each system's segment of it, the
-    routes and blocks, and the buffers the solves reuse (circulant rows too).
-    It serves only the `observed` and `omega` objects it was built from."""
+    layout, sorted by the `split_labels` grid `labels`, each system's
+    segment of it, the routes and blocks, and the buffers the solves reuse
+    (circulant rows too).  It serves only the `observed` and `omega` objects
+    it was built from."""
 
     def __init__(self, observed, omega, q, y_update, labels=None, t=1):
         if np.shape(observed) != omega.dims:
@@ -91,9 +92,7 @@ class _Plan:
         values = layout(observed).take(entry)
         if labels is not None:
             # the stable sort keeps each system's rows ascending
-            subset = np.zeros(omega.dims, labels.dtype)
-            subset[omega.mask] = labels
-            system += layout(subset).take(entry) * slices
+            system += layout(labels).take(entry) * slices
             order = np.argsort(system, kind="stable")
             pos, values = pos[order], values[order]
         count = np.bincount(system, minlength=t * slices)
@@ -124,8 +123,15 @@ class _Plan:
                      for s in _blocks(len(wide), step)]
 
 
-def _half_step(plan, factor, y_update):
+def _solve(observed, omega, factor, y_update, plan=None, labels=None, t=1):
     """Solutions (t, slices, r, k) of every system of `plan`, given `factor`."""
+    factor = _check3(factor)
+    p, r, k = factor.shape
+    plan = plan or _Plan(observed, omega, r * k, y_update, labels, t)
+    if plan.observed is not observed or plan.omega is not omega:
+        raise DimensionMismatch("the plan was built from another observed tensor or omega")
+    if (plan.y_update, plan.rows.shape, omega.dims[2]) != (y_update, (p * k + 1, r * k), k):
+        raise DimensionMismatch(f"{omega.dims} vs factor {factor.shape}, plan q={plan.q}")
     circulant_rows(factor, 1 if y_update else -1, out=plan.rows[:-1])
     sol = np.zeros((math.prod(plan.shape), plan.q))
     # h >= q: batched normal equations; only mode="clip" lets take skip a temporary
@@ -146,17 +152,6 @@ def _half_step(plan, factor, y_update):
         coef = _pinv_apply(kept @ kept.transpose(0, 2, 1), rhs)
         sol[systems] = (coef[:, None, :] @ kept)[:, 0]
     return sol.reshape(plan.shape + factor.shape[1:])
-
-
-def _solve(observed, omega, factor, y_update, plan=None, labels=None, t=1):
-    factor = _check3(factor)
-    p, r, k = factor.shape
-    plan = plan or _Plan(observed, omega, r * k, y_update, labels, t)
-    if plan.observed is not observed or plan.omega is not omega:
-        raise DimensionMismatch("the plan was built from another observed tensor or omega")
-    if (plan.y_update, plan.rows.shape, omega.dims[2]) != (y_update, (p * k + 1, r * k), k):
-        raise DimensionMismatch(f"{omega.dims} vs factor {factor.shape}, plan q={plan.q}")
-    return _half_step(plan, factor, y_update)
 
 
 def ls_solve_y(observed, omega, x, *, plan=None):

@@ -64,9 +64,7 @@ def _ritz(f, eps, q, steps, chain):
     """Ritz triplets (u, s, vh) of the slices f on the block q if they pass
     svt's checks, else None; the power steps the next call starts with; and
     the per-slice tail bounds that passed, for the next call's chain.
-    Each failed residual check adds a step, up to POWER_STEPS, unless its
-    rate of decrease cannot reach RITZ_TOL by then."""
-    last = np.inf
+    Each failed residual check adds a step, up to POWER_STEPS."""
     for step in range(POWER_STEPS + 1):
         b = f @ q
         if step < steps:
@@ -86,9 +84,6 @@ def _ritz(f, eps, q, steps, chain):
             if tail is None:
                 tail = _power_tail(f, ub, np.where(kept, s, 0), vh, r)
             return ((ub, s, vh), step, tail) if tail.max() <= eps else (None, step, None)
-        if err * (err / last) ** (POWER_STEPS - step) > RITZ_TOL:
-            break
-        last = err
         q = np.linalg.qr(g * s[:, None])[0]
     return None, steps, None
 

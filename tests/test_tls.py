@@ -769,13 +769,15 @@ def test_split_is_the_partition_split_labels_draws(t):
     omega = sample_bernoulli(11, 7, 3, 0.6, RngSeed(t, "labels"))
     seed = RngSeed(t, "labels-split")
     labels = split_labels(omega, t, seed)
-    assert labels.shape == (omega.size,) and labels.min() >= 0 and labels.max() < t
+    assert labels.shape == omega.dims
+    assert np.all(labels[~omega.mask] == -1)
+    drawn = labels[omega.mask]  # row-major order, as the stream draws them
+    assert np.array_equal(drawn, seed.rng().integers(0, t, size=omega.size))
+    assert drawn.min() >= 0 and drawn.max() < t
     parts = split(omega, t, seed)
     assert len(parts) == t
     for s, part in enumerate(parts):
-        expected = np.zeros(omega.dims, dtype=bool)
-        expected[tuple(np.argwhere(omega.mask)[labels == s].T)] = True
-        assert np.array_equal(part.mask, expected)
+        assert np.array_equal(part.mask, labels == s)
 
 
 def test_split_labels_rejects_zero_subsets():
