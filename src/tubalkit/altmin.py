@@ -10,6 +10,7 @@
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -41,6 +42,13 @@ SMOOTH_QR_EPS = 0.01
 COHERENCE_BUDGET = 1e6
 
 
+def check_counts(**counts):
+    """Refuse, with ValueError, a count that is not an integer (bool too)."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} {value!r} must be an integer")
+
+
 @dataclass
 class SolverConfig:
     target_rank: int
@@ -51,6 +59,8 @@ class SolverConfig:
     stall_window: int = 3
 
     def __post_init__(self):
+        check_counts(target_rank=self.target_rank, iterations=self.iterations,
+                     stall_window=self.stall_window)
         if self.target_rank < 1:
             raise ValueError("target_rank must be >= 1")
         if self.iterations < 1:

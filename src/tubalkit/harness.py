@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import _check3
-from .altmin import SolverConfig, fit_line, trace_error, tubal_alt_min
+from .altmin import SolverConfig, check_counts, fit_line, trace_error, tubal_alt_min
 from .errors import (
     BadMagic,
     FileFormatError,
@@ -92,6 +92,8 @@ class ExperimentSpec:
     sizes: tuple = (25, 50, 75, 100)
 
     def __post_init__(self):
+        check_counts(m=self.m, n=self.n, k=self.k, rank=self.rank,
+                     iterations=self.iterations, repetitions=self.repetitions)
         for name in ("rates", "algorithms", "sizes"):
             values = getattr(self, name)
             if len(values) == 0:

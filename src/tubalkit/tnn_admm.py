@@ -200,13 +200,14 @@ def admm_complete(observed, omega, lam, alpha=None, ground_truth=None, start=Non
     off = 1.0 - on
     x = np.empty_like(observed)
     fit = np.empty_like(observed)
+    scaled_q = np.empty_like(observed)
     stop = TOL * np.linalg.norm(observed)
     rse_trace = []
     seconds = []
     t0 = time.perf_counter()
     basis = None
     for _ in range(MAX_ITERS):
-        scaled_q = q / alpha
+        np.divide(q, alpha, out=scaled_q)
         np.multiply(alpha, z, out=fit)
         fit -= q
         fit += observed
@@ -218,10 +219,12 @@ def admm_complete(observed, omega, lam, alpha=None, ground_truth=None, start=Non
         z_prev = z
         z, basis = svt(x + scaled_q, lam / alpha, basis=basis)
         gap = np.subtract(x, z, out=fit)
-        q += alpha * gap
+        primal = np.linalg.norm(gap)
+        gap *= alpha
+        q += gap
         rse_trace.append(trace_error(x, observed, omega, ground_truth))
         seconds.append(time.perf_counter() - t0)
-        if np.linalg.norm(gap) <= stop and alpha * np.linalg.norm(z - z_prev) <= stop:
+        if primal <= stop and alpha * np.linalg.norm(z - z_prev) <= stop:
             break
 
     return SolveReport(rse=rse_trace, seconds=seconds, estimate=x, admm_state=(z, q))

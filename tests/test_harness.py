@@ -144,6 +144,20 @@ def test_experiment_spec_validation():
         ExperimentSpec(algorithms=("bogus",))
 
 
+@pytest.mark.parametrize("value", [3.0, 2.5, True])
+@pytest.mark.parametrize(
+    "make, name",
+    [(SolverConfig, name) for name in ("target_rank", "iterations", "stall_window")]
+    + [(ExperimentSpec, name) for name in ("m", "n", "k", "rank", "iterations", "repetitions")],
+)
+def test_counts_that_are_not_integers_are_refused(tmp_path, make, name, value):
+    # numpy refuses them later, with a TypeError from inside a solve or sweep
+    kwargs = {"target_rank": 1} if make is SolverConfig else {"out_dir": str(tmp_path)}
+    with pytest.raises(ValueError, match=f"^{name} {value!r} must be an integer"):
+        make(**{**kwargs, name: value})
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("name", ["rates", "algorithms", "sizes"])
 def test_empty_list_fields_are_refused(tmp_path, name):
     # the drivers read the first rate and algorithm, and a CSV of no sizes
