@@ -2,10 +2,12 @@
 
 Minimizes 0.5 * ||P_Omega(Y - X)||_F^2 + lambda * TNN(Z) subject to X = Z,
 where TNN is the nuclear norm of the block-diagonal frequency form.  The
-X subproblem is separable per entry and solved in closed form; the Z
-subproblem is singular value soft-thresholding per frequency slice.  The
-dual Q is the unscaled multiplier of X = Z, so the penalty alpha (default:
-the sampling rate) moves only the speed, not the fixed point.
+X step is X = W + weight * (P_Omega Y - W), W = Z - Q/alpha, in closed
+form; weight = mask / (1 + alpha) is the only alpha-dependent array it keeps
+across iterations, so a per-iteration alpha must rebuild it.  The Z step is
+singular value soft-thresholding per frequency slice.  The dual Q is the
+unscaled multiplier of X = Z, so the penalty alpha (default: the sampling
+rate) moves only the speed, not the fixed point.
 
 A run stops on its primal and dual residuals (Boyd et al. 2011), scaled by
 ||P_Omega Y|| rather than by ||X|| or ||Z||, so the run at lambda =
@@ -144,7 +146,7 @@ def svt(t, eps, *, basis=None):
     - Otherwise sigma_max(R) <= ||(R^H R)^4||_F^(1/8) <= eps for the rest R
       of every slice, f minus its kept part, which restarts the chain.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("threshold must be nonnegative")
     t = _check3(t)
     k = t.shape[2]
@@ -194,12 +196,9 @@ def admm_complete(observed, omega, lam, alpha=None, ground_truth=None, start=Non
             raise DimensionMismatch(f"start {z.shape}/{q.shape} vs {observed.shape}")
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(q))):
             raise InvalidEntries("start (z, q) is not finite")
-    # x = where(mask, fit, z - q/alpha) as a 0/1 blend: the same bits, with
-    # no branch per entry of a random mask
-    on = omega.mask.astype(float)
-    off = 1.0 - on
+    weight = omega.mask / (1.0 + alpha)
     x = np.empty_like(observed)
-    fit = np.empty_like(observed)
+    gap = np.empty_like(observed)
     scaled_q = np.empty_like(observed)
     stop = TOL * np.linalg.norm(observed)
     rse_trace = []
@@ -208,17 +207,13 @@ def admm_complete(observed, omega, lam, alpha=None, ground_truth=None, start=Non
     basis = None
     for _ in range(MAX_ITERS):
         np.divide(q, alpha, out=scaled_q)
-        np.multiply(alpha, z, out=fit)
-        fit -= q
-        fit += observed
-        fit /= 1.0 + alpha
-        fit *= on
         np.subtract(z, scaled_q, out=x)
-        x *= off
-        x += fit
+        np.subtract(observed, x, out=gap)
+        gap *= weight
+        x += gap
         z_prev = z
         z, basis = svt(x + scaled_q, lam / alpha, basis=basis)
-        gap = np.subtract(x, z, out=fit)
+        np.subtract(x, z, out=gap)
         primal = np.linalg.norm(gap)
         gap *= alpha
         q += gap

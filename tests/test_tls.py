@@ -730,6 +730,20 @@ def test_block_mixing_singular_and_regular_tall_slices():
     assert_close(got, freq_oracle_y(observed, omega, x))
 
 
+@pytest.mark.parametrize("eps, singular", [(3e-11, True), (3e-10, False)])
+def test_pivot_singular_cuts_at_singular_tol(eps, singular):
+    # the second Cholesky pivot is eps, against SINGULAR_TOL * (1 + eps)
+    gram = np.array([[[1.0, 1.0], [1.0, 1.0 + eps]]])
+    assert _pivot_singular(gram).tolist() == [singular]
+
+
+@pytest.mark.parametrize("delta, kept", [(3e-11, False), (3e-10, True)])
+def test_pinv_apply_drops_eigenvalues_at_singular_tol(delta, kept):
+    gram = np.diag([delta, 1.0])[None]
+    got = _pinv_apply(gram, np.ones((1, 2)))
+    np.testing.assert_allclose(got[0], [1 / delta if kept else 0.0, 1.0], rtol=1e-12)
+
+
 @pytest.mark.parametrize("t", [None, 3])
 def test_full_variant_trace_matches_dense_mask_oracle(monkeypatch, t):
     # at the default subset count the median is the zero tensor from the

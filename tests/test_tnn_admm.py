@@ -190,8 +190,9 @@ def test_svt_is_contraction():
     t = rng.standard_normal((6, 5, 4))
     for eps in (0.0, 0.1, 1.0, 5.0):
         assert frobenius_norm(svt(t, eps)[0]) <= frobenius_norm(t) + 1e-10
-    with pytest.raises(ValueError):
-        svt(t, -1.0)
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            svt(t, bad)
 
 
 def test_lambda_helpers():
@@ -210,6 +211,23 @@ def test_admm_config_validation():
             admm_complete(observed, omega, bad)
         with pytest.raises(ValueError, match="finite and positive"):
             admm_complete(observed, omega, 1.0, alpha=bad)
+
+
+@pytest.mark.parametrize("alpha", [None, 3.0])
+def test_admm_x_step_is_the_closed_form(monkeypatch, alpha):
+    # one iteration from a random (z, q): x = (Y + alpha z - q) / (1 + alpha)
+    # on Omega and z - q / alpha off it, and the dual step q + alpha (x - z1)
+    _, observed, omega = desk_instance()
+    rng = np.random.default_rng(17)
+    z0, q0 = rng.standard_normal((2, *observed.shape))
+    monkeypatch.setattr(tnn_admm, "MAX_ITERS", 1)
+    report = admm_complete(observed, omega, 1.0, alpha, start=(z0, q0))
+    a = omega.size / observed.size if alpha is None else alpha
+    x = np.where(omega.mask, (observed + a * z0 - q0) / (1 + a), z0 - q0 / a)
+    assert frobenius_norm(report.estimate - x) <= 1e-14 * frobenius_norm(x)
+    z1, q1 = report.admm_state
+    dual = q0 + a * (report.estimate - z1)
+    assert frobenius_norm(q1 - dual) <= 1e-14 * frobenius_norm(dual)
 
 
 def test_admm_tiny_lambda_full_observation(monkeypatch):
