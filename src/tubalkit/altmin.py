@@ -43,10 +43,12 @@ COHERENCE_BUDGET = 1e6
 
 
 def check_counts(**counts):
-    """Refuse, with ValueError, a count that is not an integer (bool too)."""
+    """Refuse, with ValueError, a count that is not an integer (bool too) or below 1."""
     for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} {value!r} must be an integer")
+        if value < 1:
+            raise ValueError(f"{name} {value} must be >= 1")
 
 
 @dataclass
@@ -61,12 +63,6 @@ class SolverConfig:
     def __post_init__(self):
         check_counts(target_rank=self.target_rank, iterations=self.iterations,
                      stall_window=self.stall_window)
-        if self.target_rank < 1:
-            raise ValueError("target_rank must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.stall_window < 1:
-            raise ValueError("stall_window must be >= 1")
         if self.stop_rse is not None and not self.stop_rse >= 0:  # NaN included
             raise ValueError(f"stop_rse {self.stop_rse} must be None or >= 0")
         if self.variant not in ("simplified", "full"):
@@ -176,16 +172,17 @@ def initialize(observed, omega, r, seed):
 def smooth_qr(y, seed):
     """Orthonormalize with escalating Gaussian perturbation, from
     SMOOTH_QR_EPS * ||y|| / n up, until the coherence is at most
-    COHERENCE_BUDGET or sigma exceeds the spectral norm of y."""
+    COHERENCE_BUDGET or sigma exceeds the spectral norm of y.  Coherence is at
+    most n / r: with n <= COHERENCE_BUDGET * r, qr_tensor(y) is returned as is."""
     y = _check3(y)
-    n = y.shape[0]
+    n, r = y.shape[:2]
     z = qr_tensor(y)
-    norm_y = spectral_norm(y)
-    if norm_y == 0:
+    if n <= COHERENCE_BUDGET * r or coherence(z) <= COHERENCE_BUDGET:
         return z
+    norm_y = spectral_norm(y)
     sigma = SMOOTH_QR_EPS * norm_y / n
     rng = seed.derive("smoothqr").rng()
-    while coherence(z) > COHERENCE_BUDGET and sigma <= norm_y:
+    while 0 < sigma <= norm_y and coherence(z) > COHERENCE_BUDGET:  # sigma = 0 for y = 0
         noise = rng.normal(0.0, sigma / math.sqrt(n), size=y.shape)
         z = qr_tensor(y + noise)
         sigma *= 2

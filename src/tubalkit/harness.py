@@ -94,28 +94,21 @@ class ExperimentSpec:
     def __post_init__(self):
         check_counts(m=self.m, n=self.n, k=self.k, rank=self.rank,
                      iterations=self.iterations, repetitions=self.repetitions)
+        RngSeed(self.seed)  # refuses a seed that is not an integer
         for name in ("rates", "algorithms", "sizes"):
             values = getattr(self, name)
             if len(values) == 0:
                 raise ValueError(f"{name} must not be empty")
             if len(set(values)) < len(values):  # a sweep would run and average copies
                 raise ValueError(f"{name} must not repeat a value: {values}")
-        if min(self.m, self.n, self.k) < 1:
-            raise ValueError(f"size m,n,k = {self.m},{self.n},{self.k} must be >= 1")
-        if not 1 <= self.rank <= min(self.m, self.n):
+        if self.rank > min(self.m, self.n):
             raise ValueError(f"rank {self.rank} outside [1, {min(self.m, self.n)}]")
         if any(not 0 < rate <= 1 for rate in self.rates):
             raise ValueError("sampling rates must lie in (0, 1]")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        for name in ("lam", "alpha"):
+        for name in ("lam", "alpha", "threshold"):
             value = getattr(self, name)
             if value is not None and not 0 < value < np.inf:
                 raise ValueError(f"{name} {value} must be finite and positive")
-        if not 0 < self.threshold < np.inf:
-            raise ValueError(f"threshold {self.threshold} must be finite and positive")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")

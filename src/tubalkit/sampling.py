@@ -1,6 +1,7 @@
 """Observation sets, the sampling projection, and synthetic instances."""
 
 import hashlib
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -26,10 +27,14 @@ class RngSeed:
     seed: int
     label: str = ""
 
+    def __post_init__(self):  # numpy fails only at the first draw, and runs True as 1
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed {self.seed!r} must be an integer")
+
     def rng(self):
         digest = hashlib.sha256(self.label.encode()).digest()
         words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-        return np.random.default_rng(np.random.SeedSequence([self.seed % 2**64] + words))
+        return np.random.default_rng(np.random.SeedSequence([int(self.seed) % 2**64] + words))
 
     def derive(self, sublabel):
         return RngSeed(self.seed, f"{self.label}/{sublabel}")

@@ -186,6 +186,36 @@ def test_smooth_qr_low_coherence_no_perturbation(monkeypatch):
     assert frobenius_norm(z - y) < 1e-8
 
 
+def test_smooth_qr_takes_no_norm_below_the_budget(monkeypatch):
+    # coherence is at most rows / r, so with 12 / 3 under COHERENCE_BUDGET the
+    # result is qr_tensor(y): no coherence, spectral norm or perturbation
+    # stream is taken
+    calls = []
+    for name in ("coherence", "spectral_norm"):
+        monkeypatch.setattr(altmin, name, lambda t, name=name: calls.append(name) or 1.0)
+    monkeypatch.setattr(RngSeed, "rng", lambda self: calls.append("rng"))
+    y = np.random.default_rng(8).standard_normal((12, 3, 4))
+    assert np.array_equal(smooth_qr(y, RngSeed(8, "sqr")), qr_tensor(y))
+    assert calls == []
+
+
+def test_smooth_qr_of_zero_stops(monkeypatch):
+    # over the budget a zero y has sigma = 0, which no doubling would raise
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        if len(calls) > 10:
+            pytest.fail("smooth_qr keeps perturbing a zero y")
+        return qr_tensor(t)
+
+    monkeypatch.setattr(altmin, "COHERENCE_BUDGET", 0.5)
+    monkeypatch.setattr(altmin, "qr_tensor", counted)
+    y = np.zeros((6, 2, 3))
+    assert np.array_equal(smooth_qr(y, RngSeed(9, "zero")), qr_tensor(y))
+    assert len(calls) == 1
+
+
 def test_smooth_qr_forces_incoherence(monkeypatch):
     # single standard-basis lateral slice: coherence n, budget 8; the
     # perturbation scale is capped at the spectral norm of y, which bounds

@@ -158,6 +158,38 @@ def test_counts_that_are_not_integers_are_refused(tmp_path, make, name, value):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize(
+    "make, name",
+    [(SolverConfig, name) for name in ("target_rank", "iterations", "stall_window")]
+    + [(ExperimentSpec, name) for name in ("m", "n", "k", "rank", "iterations", "repetitions")],
+)
+def test_counts_below_one_are_refused(tmp_path, make, name, value):
+    # check_counts is the one rule: no field keeps a `< 1` check of its own
+    kwargs = {"target_rank": 1} if make is SolverConfig else {"out_dir": str(tmp_path)}
+    with pytest.raises(ValueError, match=f"^{name} {value} must be >= 1$"):
+        make(**{**kwargs, name: value})
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed", [2.5, "3", None, np.float64(4.0), True])
+def test_seeds_that_are_not_integers_are_refused(tmp_path, seed):
+    # numpy refuses the first four only at a sweep's first draw, with a
+    # TypeError, and True would run as seed 1
+    message = "^" + re.escape(f"seed {seed!r} must be an integer")
+    with pytest.raises(ValueError, match=message):
+        RngSeed(seed, "label")
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(seed=seed, out_dir=str(tmp_path))
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), 0, -3], ids=["int64", "zero", "negative"])
+def test_integer_seeds_are_accepted(seed):
+    assert ExperimentSpec(seed=seed).seed == seed
+    assert RngSeed(seed, "a").rng().random() == RngSeed(int(seed), "a").rng().random()
+
+
 @pytest.mark.parametrize("name", ["rates", "algorithms", "sizes"])
 def test_empty_list_fields_are_refused(tmp_path, name):
     # the drivers read the first rate and algorithm, and a CSV of no sizes
@@ -548,10 +580,10 @@ def test_cli_exit_codes(tmp_path):
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["gen", "--size", "0,5,5"], "size m,n,k"),
+        (["gen", "--size", "0,5,5"], "m 0 must be >= 1"),
         (["gen", "--rank", "0"], "rank"),
         (["sweep", "--size", "8,8,2", "--rank", "9"], "rank"),
-        (["sweep", "--size", "5,5,0"], "size m,n,k"),
+        (["sweep", "--size", "5,5,0"], "k 0 must be >= 1"),
         (["scale", "--tube", "2", "--rank", "11", "--sizes", "10,14"], "rank"),
     ],
     ids=["gen-size", "gen-rank", "sweep-rank", "sweep-empty-tube", "scale-sizes"],

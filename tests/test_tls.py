@@ -706,6 +706,18 @@ def test_entry_lists_match_dense_mask_oracle(m, n, k, p, t):
     assert np.array_equal(med_x, dense_median(observed, omega, y, seed, t, False))
 
 
+def test_tall_gram_stack_stays_within_block_bytes():
+    # The altmin-tall-k shape: q = r*k = 60 unknowns, 50 tall lateral slices.
+    # One unblocked Gram stack (50 x 60 x 60, 1.4 MB) raised the peak RSS of
+    # a three-solve altmin-tall-k process by 3.8 MiB (47.7 -> 51.5 MiB), most
+    # of the 10% bound on that workload's ~51.6 MiB.
+    m, n, k, r = 50, 50, 20, 3
+    omega = sample_bernoulli(m, n, k, 0.5, RngSeed(45, "tall-k"))
+    plan = _Plan(project(np.ones((m, n, k)), omega), omega, r * k, True)
+    assert sum(len(systems) for systems, _ in plan.tall) == n
+    assert plan.gram.nbytes <= BLOCK_BYTES < n * plan.gram[0].nbytes
+
+
 def test_block_mixing_singular_and_regular_tall_slices():
     # Rows i < 10 of x repeat their first column, so a lateral slice that
     # observes only those rows has a singular Gram (rank k < r*k) although
