@@ -13,6 +13,8 @@ share one frequency-slice kernel: `freq_slices` gives the half spectrum as a
 it back.  The other slices are conjugates of these and are never computed.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidEntries, NotOrthonormal
@@ -27,22 +29,32 @@ def _check3(t):
     return t
 
 
+def frobenius(a):
+    """Frobenius norm of an array, complex ones included, by one einsum
+    rather than BLAS: OpenBLAS threads a large dot product, and the sum
+    then depends on the thread count."""
+    v = np.ravel(a)
+    v = v.view(v.real.dtype) if np.iscomplexobj(v) else v
+    return math.sqrt(np.einsum("i,i->", v, v))
+
+
 def freq_slices(t):
     """Half-spectrum frequency slices of a real tensor.
 
-    Returns the mode-3 DFT at frequencies 0..k//2 as a (k//2+1, m, n)
-    stack: entry [f, i, j] is the DFT of tube (i, j, :) at frequency f.
+    Returns the mode-3 DFT at frequencies 0..k//2 as a C-contiguous
+    (k//2+1, m, n) stack, so that matrix products on its slices need no
+    copy: entry [f, i, j] is the DFT of tube (i, j, :) at frequency f.
     """
     t = _check3(t)
     if np.iscomplexobj(t):
         raise InvalidEntries(f"expected a real tensor, got {t.dtype}")
-    return np.moveaxis(np.fft.rfft(t, axis=2), 2, 0)
+    return np.ascontiguousarray(np.moveaxis(np.fft.rfft(t, axis=2), 2, 0))
 
 
 def from_freq_slices(f, k):
     """Real (m, n, k) tensor whose half-spectrum slices are the stack `f`;
     inverse of `freq_slices`."""
-    return np.ascontiguousarray(np.fft.irfft(f, n=k, axis=0).transpose(1, 2, 0))
+    return np.fft.irfft(np.ascontiguousarray(np.moveaxis(f, 0, 2)), n=k, axis=2)
 
 
 def freq_weights(k):

@@ -19,6 +19,7 @@ import numpy as np
 from .algebra import (
     coherence,
     freq_slices,
+    frobenius,
     from_freq_slices,
     spectral_norm,
     tprod,
@@ -86,10 +87,10 @@ def rse(estimate, truth):
     truth = _check3(truth)
     if estimate.shape != truth.shape:
         raise DimensionMismatch(f"{estimate.shape} vs {truth.shape}")
-    denom = np.linalg.norm(truth)
+    denom = frobenius(truth)
     if denom == 0:
         raise ZeroTruth("truth tensor has zero norm")
-    return float(np.linalg.norm(estimate - truth) / denom)
+    return frobenius(estimate - truth) / denom
 
 
 def fit_line(trace):
@@ -109,9 +110,9 @@ def trace_error(estimate, observed, omega, ground_truth=None):
     observed."""
     if ground_truth is not None:
         return rse(estimate, ground_truth)
-    denom = np.linalg.norm(observed)
-    resid = np.linalg.norm(project(estimate, omega) - observed)
-    return float(resid / denom) if denom > 0 else 0.0
+    denom = frobenius(observed)
+    resid = frobenius(project(estimate, omega) - observed)
+    return resid / denom if denom > 0 else 0.0
 
 
 def qr_tensor(y):

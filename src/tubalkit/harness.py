@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _check3
+from .algebra import _check3, frobenius
 from .altmin import SolverConfig, check_counts, fit_line, trace_error, tubal_alt_min
 from .errors import (
     BadMagic,
@@ -298,7 +298,7 @@ def complete_file(input_path, output_path, mask_path=None, **fields):
     summary = {
         "algorithm": algorithm,
         "observed_entries": omega.size,
-        "observed_residual": float(np.linalg.norm(project(estimate, omega) - observed)),
+        "observed_residual": frobenius(project(estimate, omega) - observed),
         "observed_relative_residual": trace_error(estimate, observed, omega),
         "iterations": report.path_iterations or len(report.rse),
     }

@@ -15,13 +15,17 @@ z = K^T (K K^T)^+ b from the h x h row Gram, in padded, batched eigh calls;
 for h >= q the q x q normal equations K^T K z = K^T b, batched, with the
 pseudo-inverse where a Cholesky pivot says the Gram is singular.  K K^T and
 K^T K have the same nonzero eigenvalues, so both apply one eigenvalue cut.
+
+The tall Grams K^T K and right-hand sides K^T b come from a gather of each
+slice's rows of C, or (`_Spectral`) from the mask's half spectrum.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .algebra import _check3
+from .algebra import _check3, freq_slices, from_freq_slices
 from .errors import DimensionMismatch
 # project and split are not called here: perfbench hooks them by these names
 from .sampling import project, split, split_labels  # noqa: F401
@@ -32,7 +36,8 @@ from .sampling import project, split, split_labels  # noqa: F401
 # singular Gram drops eigenvalues at most this fraction of its largest.
 SINGULAR_TOL = 1e-10
 # Each batched solve's Gram stack, or stack of gathered rows, stays this
-# small; the median wrappers solve hundreds of slices per call.
+# small, and so do the spectral route's pair products and block GEMMs; the
+# median wrappers solve hundreds of slices per call.
 BLOCK_BYTES = 512 * 1024
 
 
@@ -72,13 +77,87 @@ def _blocks(n, step):
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
+class _Spectral:
+    """Tall-slice Grams and right-hand sides from the mask's half spectrum.
+
+    For Y, G_j[(s, sigma), (s', sigma + delta)] = sum_i sum_u M[i, j, u - sigma]
+    x[i, s, u] x[i, s', u + delta] correlates mask tubes with pair products,
+    so its spectrum is sum_i conj(M^[i, j]) times theirs; for X, slice i's
+    Gram convolves M[i, j] with y's pair products and takes M^.  The plan
+    keeps that spectrum in real form [[Sr, -Si], [Si, Sr]], per block of
+    tall slices.  Both triangles of a Gram read one pair s <= s', so it is
+    symmetric.  The right-hand sides are one t-product:
+    ttranspose(P_Omega T) * X for Y, P_Omega T * Y for X."""
+
+    def __init__(self, mask, observed, tall, q, y_update):
+        k, kh = mask.shape[2], mask.shape[2] // 2 + 1
+        # real DFT matrices: rows 2w, 2w + 1 of forward @ tube are the real and
+        # imaginary parts at frequency w; inverse.T maps them back, with 1/k
+        angle = 2 * np.pi / k * (np.outer(np.arange(kh), np.arange(k)) % k)
+        self.forward = np.stack([np.cos(angle), -np.sin(angle)], 1).reshape(2 * kh, k)
+        twice = (np.arange(kh) > 0) & (2 * np.arange(kh) < k)  # w stands for k - w too
+        self.inverse = self.forward * np.repeat((1 + twice) / k, 2)[:, None]
+        self.pairs = np.triu_indices(q // k)
+        width = len(self.pairs[0]) * k
+        # half spectra (kh, tall, others) of the mask and of P_Omega T
+        spec = freq_slices(mask[tall] * 1.0)
+        self.left = freq_slices(np.where(mask[tall], observed[tall], 0.0))
+        if y_update:
+            spec, self.left = spec.conj(), self.left.conj()
+        re, im = spec.real, spec.imag
+        step = max(1, BLOCK_BYTES // (8 * max(2 * kh * width, q * q)))
+        self.blocks = [(tall[s], s, np.block([[re[:, s], -im[:, s]], [im[:, s], re[:, s]]]))
+                       for s in _blocks(len(tall), step)]
+        # Gram entry (a, b) reads [pair(s, s'), (sigma' - sigma) mod k, sigma]
+        # of (min(a, b), max(a, b)) = ((s, sigma), (s', sigma'))
+        pair = np.zeros((q // k, q // k), dtype=np.intp)
+        pair[self.pairs] = np.arange(len(self.pairs[0]))
+        a = np.arange(q)
+        s, sigma = np.divmod(np.minimum.outer(a, a), k)
+        s2, sigma2 = np.divmod(np.maximum.outer(a, a), k)
+        self.table = (pair[s, s2] * k + (sigma2 - sigma) % k) * k + sigma
+
+    def grams(self, factor):
+        """(systems, Grams, right-hand sides) of each block of tall slices."""
+        p, r, k = factor.shape
+        first, second = self.pairs
+        width = len(first) * k
+        tubes = factor.transpose(2, 0, 1)  # [u, i, s]
+        # the tubes twice over, so that shifted[u, i, pair, delta] = x[i, s', u + delta]
+        shifted = sliding_window_view(np.concatenate([tubes[:, :, second]] * 2), k, 0)[:k]
+        spectrum = np.empty((len(self.forward), p * width))
+        for rows in _blocks(p, max(1, BLOCK_BYTES // (8 * k * width))):
+            # pair products [u, i, pair, delta] = x[i, s, u] * x[i, s', u + delta]
+            pairs = shifted[:, rows] * tubes[:, rows][:, :, first, None]
+            cols = slice(rows.start * width, rows.start * width + pairs[0].size)
+            np.matmul(self.forward, pairs.reshape(k, -1), out=spectrum[:, cols])
+        spectrum = spectrum.reshape(-1, 2 * p, width)
+        rhs = from_freq_slices(self.left @ freq_slices(factor), k).reshape(-1, r * k)
+        # one call's buffers, within BLOCK_BYTES: the block GEMM's product,
+        # then the block's Grams; and the product's inverse DFT
+        step, q = len(self.blocks[0][0]), r * k
+        work = np.empty(step * max(len(self.forward) * width, q * q))
+        spread = np.empty(step * width * k)
+        for systems, at, mixed in self.blocks:
+            size = len(systems) * width
+            product = work[: len(self.forward) * size].reshape(-1, 2 * len(systems), width)
+            np.matmul(mixed, spectrum, out=product)
+            back = spread[: size * k].reshape(size, k)  # [system, pair, delta, sigma]
+            np.matmul(product.reshape(-1, size).T, self.inverse, out=back)
+            gram = work[: len(systems) * q * q].reshape(-1, q, q)
+            np.take(back.reshape(len(systems), -1), self.table, 1, gram, mode="clip")
+            yield systems, gram, rhs[at]
+
+
 class _Plan:
     """What depends on Omega and the observed values, for one direction and
     q = r*k unknowns: the np.flatnonzero list of entries in (slice, row)
     layout, sorted by the `split_labels` grid `labels`, each system's
     segment of it, the routes and blocks, and the buffers the solves reuse
     (circulant rows too).  It serves only the `observed` and `omega` objects
-    it was built from."""
+    it was built from.  An unlabelled plan takes `_Spectral`'s route when its
+    GEMM flops, 4 * (k//2 + 1) * tall * others * r(r+1)/2 * k, are at most
+    the gather's, the sum over tall slices of h * q(q+1)/2."""
 
     def __init__(self, observed, omega, q, y_update, labels=None, t=1):
         if np.shape(observed) != omega.dims:
@@ -86,7 +165,7 @@ class _Plan:
         # slices along axis 0, each slice's rows (i or j, kappa) flattened
         layout = (lambda a: np.swapaxes(a, 0, 1)) if y_update else np.asarray
         mask = layout(omega.mask)
-        slices, size = mask.shape[0], mask[0].size
+        (slices, others, k), size = mask.shape, mask[0].size
         entry = np.flatnonzero(mask)
         system, pos = np.divmod(entry, size)
         values = layout(observed).take(entry)
@@ -98,10 +177,15 @@ class _Plan:
         count = np.bincount(system, minlength=t * slices)
         start = np.cumsum(count) - count
         self.observed, self.omega = observed, omega
-        self.q, self.y_update, self.shape = q, y_update, (t, slices)
-        self.rows = np.zeros((size + 1, q))  # circulant rows, then a zero row
+        self.q, self.y_update, self.shape, self.size = q, y_update, (t, slices), size
         # h >= q: blocks of systems, each with its segment of the entries
         tall = np.flatnonzero(count >= q)
+        r = q // k
+        flops = 4 * (k // 2 + 1) * len(tall) * others * (r * (r + 1) // 2) * k
+        self.spectral = None
+        if labels is None and len(tall) and flops <= count[tall].sum() * q * (q + 1) // 2:
+            # the gather below then gets no tall systems and empty buffers
+            self.spectral, tall = _Spectral(mask, layout(observed), tall, q, y_update), tall[:0]
         step = max(1, BLOCK_BYTES // (8 * q * q))
         segments = [(pos[a : a + h], values[a : a + h])
                     for a, h in zip(start[tall].tolist(), count[tall].tolist())]
@@ -121,26 +205,38 @@ class _Plan:
         step = max(1, BLOCK_BYTES // (8 * index.shape[1] * q))
         self.wide = [(wide[s], index[s, : h[s][-1]], rhs[s, : h[s][-1]])
                      for s in _blocks(len(wide), step)]
+        # circulant rows, then a zero row, for the gather and the wide route
+        self.rows = np.zeros((size + 1, q)) if len(tall) or len(wide) else None
 
 
-def _solve(observed, omega, factor, y_update, plan=None, labels=None, t=1):
-    """Solutions (t, slices, r, k) of every system of `plan`, given `factor`."""
-    factor = _check3(factor)
-    p, r, k = factor.shape
-    plan = plan or _Plan(observed, omega, r * k, y_update, labels, t)
-    if plan.observed is not observed or plan.omega is not omega:
-        raise DimensionMismatch("the plan was built from another observed tensor or omega")
-    if (plan.y_update, plan.rows.shape, omega.dims[2]) != (y_update, (p * k + 1, r * k), k):
-        raise DimensionMismatch(f"{omega.dims} vs factor {factor.shape}, plan q={plan.q}")
-    circulant_rows(factor, 1 if y_update else -1, out=plan.rows[:-1])
-    sol = np.zeros((math.prod(plan.shape), plan.q))
-    # h >= q: batched normal equations; only mode="clip" lets take skip a temporary
+def _gathered(plan):
+    """(systems, Grams, right-hand sides) of each block of tall slices, from
+    the plan's circulant rows; only mode="clip" lets take skip a temporary."""
     for block, segments in plan.tall:
         gram, rhs = plan.gram[: len(block)], plan.rhs[: len(block)]
         for b, (pos, values) in enumerate(segments):
             kept = plan.rows.take(pos, axis=0, out=plan.kept[: len(pos)], mode="clip")
             np.dot(kept.T, kept, out=gram[b])
             np.dot(values, kept, out=rhs[b])
+        yield block, gram, rhs
+
+
+def _solve(observed, omega, factor, y_update, plan=None, labels=None, t=1):
+    """Solutions (t, slices, r, k) of every system of `plan`, given `factor`."""
+    factor = _check3(factor)
+    p, r, k = factor.shape
+    if omega.dims[2] != k:
+        raise DimensionMismatch(f"{omega.dims} vs factor {factor.shape}")
+    plan = plan or _Plan(observed, omega, r * k, y_update, labels, t)
+    if plan.observed is not observed or plan.omega is not omega:
+        raise DimensionMismatch("the plan was built from another observed tensor or omega")
+    if (plan.y_update, plan.size, plan.q) != (y_update, p * k, r * k):
+        raise DimensionMismatch(f"{omega.dims} vs factor {factor.shape}, plan q={plan.q}")
+    if plan.rows is not None:
+        circulant_rows(factor, 1 if y_update else -1, out=plan.rows[:-1])
+    sol = np.zeros((math.prod(plan.shape), plan.q))
+    # h >= q: batched normal equations
+    for block, gram, rhs in plan.spectral.grams(factor) if plan.spectral else _gathered(plan):
         singular = _pivot_singular(gram)
         ok = ~singular if singular.any() else slice(None)  # a slice copies nothing
         sol[block[ok]] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]

@@ -33,6 +33,7 @@ import numpy as np
 from .algebra import (
     freq_slices,
     freq_weights,
+    frobenius,
     from_freq_slices,
     spectral_norm,
     _check3,
@@ -110,7 +111,7 @@ def _power_tail(f, ub, s, vh, r):
     rank-r part ub * s @ vh."""
     rest = (ub[:, :, :r] * s[:, None, :r]) @ vh[:, :r]
     np.subtract(f, rest, out=rest)
-    scale = float(np.linalg.norm(rest)) or 1.0
+    scale = frobenius(rest) or 1.0
     rest *= 1 / scale  # keeps (R^H R)^4 finite
     gram = _ct(rest) @ rest
     square = gram @ gram
@@ -200,7 +201,7 @@ def admm_complete(observed, omega, lam, alpha=None, ground_truth=None, start=Non
     x = np.empty_like(observed)
     gap = np.empty_like(observed)
     scaled_q = np.empty_like(observed)
-    stop = TOL * np.linalg.norm(observed)
+    stop = TOL * frobenius(observed)
     rse_trace = []
     seconds = []
     t0 = time.perf_counter()
@@ -214,12 +215,12 @@ def admm_complete(observed, omega, lam, alpha=None, ground_truth=None, start=Non
         z_prev = z
         z, basis = svt(x + scaled_q, lam / alpha, basis=basis)
         np.subtract(x, z, out=gap)
-        primal = np.linalg.norm(gap)
+        primal = frobenius(gap)
         gap *= alpha
         q += gap
         rse_trace.append(trace_error(x, observed, omega, ground_truth))
         seconds.append(time.perf_counter() - t0)
-        if primal <= stop and alpha * np.linalg.norm(z - z_prev) <= stop:
+        if primal <= stop and alpha * frobenius(z - z_prev) <= stop:
             break
 
     return SolveReport(rse=rse_trace, seconds=seconds, estimate=x, admm_state=(z, q))

@@ -4,6 +4,7 @@ import pytest
 from tubalkit.algebra import (
     coherence,
     freq_slices,
+    frobenius,
     from_freq_slices,
     identity_tensor,
     spectral_norm,
@@ -74,6 +75,29 @@ def test_ifft_round_trip():
         back = from_freq_slices(freq_slices(t), k)
         assert back.shape == t.shape
         assert np.linalg.norm(back - t) < 1e-12 * np.linalg.norm(t)
+
+
+def test_frequency_stacks_are_contiguous_and_round_trip():
+    rng = np.random.default_rng(5)
+    for k in (1, 4, 7):
+        t = rng.standard_normal((5, 3, k))
+        f = freq_slices(t)
+        assert f.flags.c_contiguous and f.shape == (k // 2 + 1, 5, 3)
+        back = from_freq_slices(f, k)
+        assert back.flags.c_contiguous and back.shape == t.shape
+        assert np.linalg.norm(back - t) <= 1e-15 * np.linalg.norm(t)
+        # the strided view of numpy's own layout maps back the same
+        assert np.array_equal(from_freq_slices(np.moveaxis(np.fft.rfft(t), 2, 0), k), back)
+
+
+def test_frobenius_matches_linalg_norm():
+    rng = np.random.default_rng(6)
+    t = rng.standard_normal((30, 20, 25))  # above OpenBLAS's threading size
+    c = t + 1j * rng.standard_normal(t.shape)
+    assert abs(frobenius(t) - np.linalg.norm(t)) <= 1e-14 * np.linalg.norm(t)
+    assert abs(frobenius(c) - np.linalg.norm(c)) <= 1e-14 * np.linalg.norm(c)
+    assert frobenius(np.zeros((2, 3, 4))) == 0.0
+    assert isinstance(frobenius(t), float)
 
 
 def test_ifft_all_ones_frequency_tube():

@@ -19,6 +19,7 @@ from tubalkit.sampling import (
 from tubalkit.tls import (
     BLOCK_BYTES,
     _Plan,
+    _Spectral,
     _pinv_apply,
     _pivot_singular,
     circulant_rows,
@@ -710,12 +711,70 @@ def test_tall_gram_stack_stays_within_block_bytes():
     # The altmin-tall-k shape: q = r*k = 60 unknowns, 50 tall lateral slices.
     # One unblocked Gram stack (50 x 60 x 60, 1.4 MB) raised the peak RSS of
     # a three-solve altmin-tall-k process by 3.8 MiB (47.7 -> 51.5 MiB), most
-    # of the 10% bound on that workload's ~51.6 MiB.
+    # of the 10% bound on that workload's ~51.6 MiB.  The shape takes the
+    # spectral route, whose Grams share one buffer with the block GEMM's
+    # product; the product's inverse DFT is smaller than the Grams.
     m, n, k, r = 50, 50, 20, 3
     omega = sample_bernoulli(m, n, k, 0.5, RngSeed(45, "tall-k"))
     plan = _Plan(project(np.ones((m, n, k)), omega), omega, r * k, True)
-    assert sum(len(systems) for systems, _ in plan.tall) == n
-    assert plan.gram.nbytes <= BLOCK_BYTES < n * plan.gram[0].nbytes
+    assert plan.rows is None and plan.gram.size == 0  # no gather buffers
+    x = np.ones((m, r, k))
+    blocks = [(systems, gram.base) for systems, gram, _ in plan.spectral.grams(x)]
+    assert sum(len(systems) for systems, _ in blocks) == n
+    assert all(buffer.nbytes <= BLOCK_BYTES for _, buffer in blocks)
+    assert BLOCK_BYTES < n * (r * k) ** 2 * 8
+
+
+def tall_systems(observed, omega, factor, y_update):
+    """Slice indices, Grams K^T K and right-hand sides K^T b of every tall
+    system, gathered from the circulant rows."""
+    q = factor.shape[1] * factor.shape[2]
+    systems = slice_systems(observed, omega, factor, y_update)
+    tall = [j for j, (kept, _) in enumerate(systems) if len(kept) >= q]
+    grams = np.stack([systems[j][0].T @ systems[j][0] for j in tall])
+    rhs = np.stack([systems[j][1] @ systems[j][0] for j in tall])
+    return np.array(tall), grams, rhs
+
+
+@pytest.mark.parametrize(
+    "m, n, k, r, p",
+    [(50, 50, 10, 3, 0.5), (50, 50, 20, 3, 0.5), (30, 25, 6, 3, 0.5), (20, 15, 1, 2, 0.7),
+     (24, 20, 7, 3, 0.6), (30, 35, 6, 1, 0.5)],
+)
+def test_spectral_grams_match_the_gather(m, n, k, r, p):
+    # k = 1, odd k, r = 1 and m != n included; _Spectral is built directly,
+    # whatever route the plan would take
+    rng = np.random.default_rng(m * n + k)
+    omega = sample_bernoulli(m, n, k, p, RngSeed(k, f"spectral-{m}-{n}"))
+    observed = project(rng.standard_normal((m, n, k)), omega)
+    for y_update, factor in ((True, rng.standard_normal((m, r, k))),
+                             (False, rng.standard_normal((n, r, k)))):
+        tall, grams, rhs = tall_systems(observed, omega, factor, y_update)
+        layout = (lambda a: a.transpose(1, 0, 2)) if y_update else np.asarray
+        spectral = _Spectral(layout(omega.mask), layout(observed), tall, r * k, y_update)
+        blocks = [(s.copy(), g.copy(), b.copy()) for s, g, b in spectral.grams(factor)]
+        assert np.array_equal(np.concatenate([s for s, _, _ in blocks]), tall)
+        got = np.concatenate([g for _, g, _ in blocks])
+        assert np.array_equal(got, got.transpose(0, 2, 1))
+        for new, ref in ((got, grams), (np.concatenate([b for _, _, b in blocks]), rhs)):
+            new, ref = new.reshape(len(tall), -1), ref.reshape(len(tall), -1)
+            assert np.all(np.linalg.norm(new - ref, axis=1) <= 1e-14 * np.linalg.norm(ref, axis=1))
+
+
+@pytest.mark.parametrize(
+    "m, n, k, p, spectral",
+    [(50, 50, 10, 0.5, True), (50, 50, 20, 0.5, True), (20, 40, 5, 0.1, False)],
+)
+def test_route_rule(m, n, k, p, spectral):
+    # the altmin-desk and altmin-tall-k shapes take the spectral route, the
+    # low-p golden shape the gather; a labelled plan always gathers
+    omega = sample_bernoulli(m, n, k, p, RngSeed(46, "route"))
+    observed = project(np.ones((m, n, k)), omega)
+    for y_update in (True, False):
+        assert (_Plan(observed, omega, 3 * k, y_update).spectral is not None) == spectral
+        for t in (1, 3):
+            labels = split_labels(omega, t, RngSeed(t, "route-split"))
+            assert _Plan(observed, omega, 3 * k, y_update, labels, t).spectral is None
 
 
 def test_block_mixing_singular_and_regular_tall_slices():
@@ -739,6 +798,30 @@ def test_block_mixing_singular_and_regular_tall_slices():
     assert list(np.flatnonzero(_pivot_singular(grams))) == [1, 4, 6]
     got = ls_solve_y(observed, omega, x)
     assert np.array_equal(got, dense_mask_half_step(observed, omega, x, True, [omega])[0])
+    assert_close(got, freq_oracle_y(observed, omega, x))
+
+
+def test_spectral_block_mixing_singular_and_regular_tall_slices():
+    # The construction above at a size that takes the spectral route: rows
+    # i < 30 of x repeat their first column, so slices 1, 4 and 6, which
+    # observe only those rows, have singular Grams (rank k < r*k).
+    m, n, k = 60, 12, 6
+    rng = np.random.default_rng(44)
+    x = rng.standard_normal((m, 2, k))
+    x[:30, 1] = x[:30, 0]
+    mask = np.ones((m, n, k), dtype=bool)
+    mask[30:, [1, 4, 6], :] = False
+    omega = SampleSet(mask)
+    observed = project(rng.standard_normal((m, n, k)), omega)
+    plan = _Plan(observed, omega, 2 * k, True)
+    assert plan.spectral is not None
+    _, grams, _ = tall_systems(observed, omega, x, True)
+    spectral = np.concatenate([_pivot_singular(g) for _, g, _ in plan.spectral.grams(x)])
+    gathered = _pivot_singular(grams)
+    assert list(np.flatnonzero(spectral)) == list(np.flatnonzero(gathered)) == [1, 4, 6]
+    got = ls_solve_y(observed, omega, x, plan=plan)
+    ref = dense_mask_half_step(observed, omega, x, True, [omega])[0]
+    assert frobenius_norm(got - ref) <= 1e-12 * frobenius_norm(ref)
     assert_close(got, freq_oracle_y(observed, omega, x))
 
 
