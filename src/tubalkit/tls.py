@@ -16,8 +16,8 @@ for h >= q the q x q normal equations K^T K z = K^T b, batched, with the
 pseudo-inverse where a Cholesky pivot says the Gram is singular.  K K^T and
 K^T K have the same nonzero eigenvalues, so both apply one eigenvalue cut.
 
-The tall Grams K^T K and right-hand sides K^T b come from a gather of each
-slice's rows of C, or (`_Spectral`) from the mask's half spectrum.
+The tall Grams K^T K and right-hand sides K^T b come from each system's
+mask spectrum (`_Spectral`); only the wide route reads rows of C.
 """
 
 import math
@@ -35,7 +35,7 @@ from .sampling import project, split, split_labels  # noqa: F401
 # smallest eigenvalue is rounding noise.  The minimum-norm solution of a
 # singular Gram drops eigenvalues at most this fraction of its largest.
 SINGULAR_TOL = 1e-10
-# Each batched solve's Gram stack, or stack of gathered rows, stays this
+# Each batched solve's Gram stack, or a wide block's stack of rows, stays this
 # small, and so do the spectral route's pair products and block GEMMs; the
 # median wrappers solve hundreds of slices per call.
 BLOCK_BYTES = 512 * 1024
@@ -78,18 +78,20 @@ def _blocks(n, step):
 
 
 class _Spectral:
-    """Tall-slice Grams and right-hand sides from the mask's half spectrum.
+    """Tall systems' Grams and right-hand sides from their masks' half spectra.
 
-    For Y, G_j[(s, sigma), (s', sigma + delta)] = sum_i sum_u M[i, j, u - sigma]
+    `mask` and `observed` are (systems, others, k): each system's own mask
+    and observed values, zero off it.  For a Y system with mask M,
+    G[(s, sigma), (s', sigma + delta)] = sum_i sum_u M[i, u - sigma]
     x[i, s, u] x[i, s', u + delta] correlates mask tubes with pair products,
-    so its spectrum is sum_i conj(M^[i, j]) times theirs; for X, slice i's
-    Gram convolves M[i, j] with y's pair products and takes M^.  The plan
-    keeps that spectrum in real form [[Sr, -Si], [Si, Sr]], per block of
-    tall slices.  Both triangles of a Gram read one pair s <= s', so it is
-    symmetric.  The right-hand sides are one t-product:
-    ttranspose(P_Omega T) * X for Y, P_Omega T * Y for X."""
+    so its spectrum is sum_i conj(M^[i]) times theirs; an X system's Gram
+    convolves M with y's pair products and takes M^.  The plan keeps that
+    spectrum in real form [[Sr, -Si], [Si, Sr]], per block of systems.  Both
+    triangles of a Gram read one pair s <= s', so it is symmetric.  The
+    right-hand sides are one t-product of the masked values with the
+    factor: ttranspose(P_Omega T) * X for Y, P_Omega T * Y for X."""
 
-    def __init__(self, mask, observed, tall, q, y_update):
+    def __init__(self, mask, observed, systems, q, y_update):
         k, kh = mask.shape[2], mask.shape[2] // 2 + 1
         # real DFT matrices: rows 2w, 2w + 1 of forward @ tube are the real and
         # imaginary parts at frequency w; inverse.T maps them back, with 1/k
@@ -99,15 +101,15 @@ class _Spectral:
         self.inverse = self.forward * np.repeat((1 + twice) / k, 2)[:, None]
         self.pairs = np.triu_indices(q // k)
         width = len(self.pairs[0]) * k
-        # half spectra (kh, tall, others) of the mask and of P_Omega T
-        spec = freq_slices(mask[tall] * 1.0)
-        self.left = freq_slices(np.where(mask[tall], observed[tall], 0.0))
+        # half spectra (kh, systems, others) of the masks and of P_Omega T
+        spec = freq_slices(mask * 1.0)
+        self.left = freq_slices(observed)
         if y_update:
             spec, self.left = spec.conj(), self.left.conj()
         re, im = spec.real, spec.imag
         step = max(1, BLOCK_BYTES // (8 * max(2 * kh * width, q * q)))
-        self.blocks = [(tall[s], s, np.block([[re[:, s], -im[:, s]], [im[:, s], re[:, s]]]))
-                       for s in _blocks(len(tall), step)]
+        self.blocks = [(systems[s], s, np.block([[re[:, s], -im[:, s]], [im[:, s], re[:, s]]]))
+                       for s in _blocks(len(systems), step)]
         # Gram entry (a, b) reads [pair(s, s'), (sigma' - sigma) mod k, sigma]
         # of (min(a, b), max(a, b)) = ((s, sigma), (s', sigma'))
         pair = np.zeros((q // k, q // k), dtype=np.intp)
@@ -118,7 +120,7 @@ class _Spectral:
         self.table = (pair[s, s2] * k + (sigma2 - sigma) % k) * k + sigma
 
     def grams(self, factor):
-        """(systems, Grams, right-hand sides) of each block of tall slices."""
+        """(systems, Grams, right-hand sides) of each block of tall systems."""
         p, r, k = factor.shape
         first, second = self.pairs
         width = len(first) * k
@@ -152,12 +154,12 @@ class _Spectral:
 class _Plan:
     """What depends on Omega and the observed values, for one direction and
     q = r*k unknowns: the np.flatnonzero list of entries in (slice, row)
-    layout, sorted by the `split_labels` grid `labels`, each system's
-    segment of it, the routes and blocks, and the buffers the solves reuse
-    (circulant rows too).  It serves only the `observed` and `omega` objects
-    it was built from.  An unlabelled plan takes `_Spectral`'s route when its
-    GEMM flops, 4 * (k//2 + 1) * tall * others * r(r+1)/2 * k, are at most
-    the gather's, the sum over tall slices of h * q(q+1)/2."""
+    layout, sorted by the `split_labels` grid `labels`, the wide systems'
+    blocks of padded row lists and the circulant-row buffer they read, and
+    the tall systems' `_Spectral`.  System (subset, slice) observes the
+    entries of its slice that `labels` puts in its subset, or all of them
+    without labels.  It serves only the `observed` and `omega` objects it
+    was built from."""
 
     def __init__(self, observed, omega, q, y_update, labels=None, t=1):
         if np.shape(observed) != omega.dims:
@@ -165,7 +167,7 @@ class _Plan:
         # slices along axis 0, each slice's rows (i or j, kappa) flattened
         layout = (lambda a: np.swapaxes(a, 0, 1)) if y_update else np.asarray
         mask = layout(omega.mask)
-        (slices, others, k), size = mask.shape, mask[0].size
+        slices, size = len(mask), mask[0].size
         entry = np.flatnonzero(mask)
         system, pos = np.divmod(entry, size)
         values = layout(observed).take(entry)
@@ -178,21 +180,16 @@ class _Plan:
         start = np.cumsum(count) - count
         self.observed, self.omega = observed, omega
         self.q, self.y_update, self.shape, self.size = q, y_update, (t, slices), size
-        # h >= q: blocks of systems, each with its segment of the entries
+        # h >= q: each system's own mask and observed values, zero off it
         tall = np.flatnonzero(count >= q)
-        r = q // k
-        flops = 4 * (k // 2 + 1) * len(tall) * others * (r * (r + 1) // 2) * k
         self.spectral = None
-        if labels is None and len(tall) and flops <= count[tall].sum() * q * (q + 1) // 2:
-            # the gather below then gets no tall systems and empty buffers
-            self.spectral, tall = _Spectral(mask, layout(observed), tall, q, y_update), tall[:0]
-        step = max(1, BLOCK_BYTES // (8 * q * q))
-        segments = [(pos[a : a + h], values[a : a + h])
-                    for a, h in zip(start[tall].tolist(), count[tall].tolist())]
-        self.tall = [(tall[s], segments[s]) for s in _blocks(len(tall), step)]
-        self.kept = np.empty((count[tall].max(initial=0), q))
-        self.gram = np.empty((min(step, len(tall)), q, q))
-        self.rhs = np.empty((min(step, len(tall)), q))
+        if len(tall):
+            subset, j = np.divmod(tall, slices)
+            own = mask[j]
+            if labels is not None:
+                own &= layout(labels)[j] == subset[:, None, None]
+            own_values = np.where(own, layout(observed)[j], 0.0)
+            self.spectral = _Spectral(own, own_values, tall, q, y_update)
         # 0 < h < q: sorted by h; each block pads its row lists to its largest
         # h with row `size`, a zero row whose zero eigenvalues the cut drops
         wide = np.flatnonzero((count > 0) & (count < q))
@@ -205,20 +202,8 @@ class _Plan:
         step = max(1, BLOCK_BYTES // (8 * index.shape[1] * q))
         self.wide = [(wide[s], index[s, : h[s][-1]], rhs[s, : h[s][-1]])
                      for s in _blocks(len(wide), step)]
-        # circulant rows, then a zero row, for the gather and the wide route
-        self.rows = np.zeros((size + 1, q)) if len(tall) or len(wide) else None
-
-
-def _gathered(plan):
-    """(systems, Grams, right-hand sides) of each block of tall slices, from
-    the plan's circulant rows; only mode="clip" lets take skip a temporary."""
-    for block, segments in plan.tall:
-        gram, rhs = plan.gram[: len(block)], plan.rhs[: len(block)]
-        for b, (pos, values) in enumerate(segments):
-            kept = plan.rows.take(pos, axis=0, out=plan.kept[: len(pos)], mode="clip")
-            np.dot(kept.T, kept, out=gram[b])
-            np.dot(values, kept, out=rhs[b])
-        yield block, gram, rhs
+        # circulant rows, then the zero row
+        self.rows = np.zeros((size + 1, q)) if len(wide) else None
 
 
 def _solve(observed, omega, factor, y_update, plan=None, labels=None, t=1):
@@ -236,7 +221,7 @@ def _solve(observed, omega, factor, y_update, plan=None, labels=None, t=1):
         circulant_rows(factor, 1 if y_update else -1, out=plan.rows[:-1])
     sol = np.zeros((math.prod(plan.shape), plan.q))
     # h >= q: batched normal equations
-    for block, gram, rhs in plan.spectral.grams(factor) if plan.spectral else _gathered(plan):
+    for block, gram, rhs in plan.spectral.grams(factor) if plan.spectral else ():
         singular = _pivot_singular(gram)
         ok = ~singular if singular.any() else slice(None)  # a slice copies nothing
         sol[block[ok]] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]

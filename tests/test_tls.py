@@ -19,7 +19,6 @@ from tubalkit.sampling import (
 from tubalkit.tls import (
     BLOCK_BYTES,
     _Plan,
-    _Spectral,
     _pinv_apply,
     _pivot_singular,
     circulant_rows,
@@ -646,7 +645,8 @@ def dense_mask_half_step(observed, omega, factor, y_update, subsets):
 
     Test oracle only: the solver reads the same systems, in the same order
     and with the same padded blocks, from a sorted list of observed entries,
-    so the two must agree bit for bit.
+    so its empty and wide systems must agree bit for bit; it forms the tall
+    Grams from the mask spectrum instead of gathering rows.
     """
 
     def slices(t):
@@ -672,6 +672,20 @@ def dense_median(observed, omega, factor, seed, t, y_update):
     return np.median(sols, axis=0)
 
 
+def assert_matches_dense_oracle(got, observed, omega, factor, y_update, subsets):
+    """`got` (slices, r, k) against the element-wise median of the dense-mask
+    oracle's solutions over `subsets`.  A slice whose systems are all empty
+    or wide is solved as the oracle solves it, bit for bit.  A tall system's
+    Gram comes from its mask spectrum, not from gathered rows, so a slice
+    with one is compared within 1e-12 relative."""
+    refs = dense_mask_half_step(observed, omega, factor, y_update, subsets)
+    counts = np.stack([sub.mask.sum(axis=(0 if y_update else 1, 2)) for sub in subsets])
+    tall = np.any(counts >= factor.shape[1] * factor.shape[2], axis=0)
+    ref = np.median(refs, axis=0).reshape(len(tall), -1)
+    error = np.linalg.norm(got.reshape(len(tall), -1) - ref, axis=1)
+    assert np.all(error <= np.where(tall, 1e-12 * np.linalg.norm(ref, axis=1), 0.0))
+
+
 @pytest.mark.parametrize("t", [1, 3, 17])
 @pytest.mark.parametrize(
     "m, n, k, p",
@@ -687,10 +701,8 @@ def test_entry_lists_match_dense_mask_oracle(m, n, k, p, t):
     y = rng.standard_normal((n, 3, k))
     x[:, 2] = x[:, 1]  # rank-deficient factors reach the singular route
     seed = RngSeed(t, "dense-split")
-    got_y = ls_solve_y(observed, omega, x)
-    got_x = ls_solve_x(observed, omega, y)
-    assert np.array_equal(got_y, dense_mask_half_step(observed, omega, x, True, [omega])[0])
-    assert np.array_equal(got_x, dense_mask_half_step(observed, omega, y, False, [omega])[0])
+    assert_matches_dense_oracle(ls_solve_y(observed, omega, x), observed, omega, x, True, [omega])
+    assert_matches_dense_oracle(ls_solve_x(observed, omega, y), observed, omega, y, False, [omega])
     # one plan per direction, reused across a rank-deficient and a full-rank
     # factor; the second call must leave the first call's result as it was
     x2, y2 = rng.standard_normal((m, 3, k)), y.copy()
@@ -701,10 +713,11 @@ def test_entry_lists_match_dense_mask_oracle(m, n, k, p, t):
         two = solve(observed, omega, second, plan=plan)
         assert np.array_equal(one, solve(observed, omega, first))
         assert np.array_equal(two, solve(observed, omega, second))
+    parts = split(omega, t, seed)
     med_y = median_ls(observed, omega, x, seed, t=t)
     med_x = median_ls_x(observed, omega, y, seed, t=t)
-    assert np.array_equal(med_y, dense_median(observed, omega, x, seed, t, True))
-    assert np.array_equal(med_x, dense_median(observed, omega, y, seed, t, False))
+    assert_matches_dense_oracle(med_y, observed, omega, x, True, parts)
+    assert_matches_dense_oracle(med_x, observed, omega, y, False, parts)
 
 
 def test_tall_gram_stack_stays_within_block_bytes():
@@ -717,7 +730,7 @@ def test_tall_gram_stack_stays_within_block_bytes():
     m, n, k, r = 50, 50, 20, 3
     omega = sample_bernoulli(m, n, k, 0.5, RngSeed(45, "tall-k"))
     plan = _Plan(project(np.ones((m, n, k)), omega), omega, r * k, True)
-    assert plan.rows is None and plan.gram.size == 0  # no gather buffers
+    assert plan.rows is None  # no wide systems, so no circulant rows
     x = np.ones((m, r, k))
     blocks = [(systems, gram.base) for systems, gram, _ in plan.spectral.grams(x)]
     assert sum(len(systems) for systems, _ in blocks) == n
@@ -731,9 +744,9 @@ def tall_systems(observed, omega, factor, y_update):
     q = factor.shape[1] * factor.shape[2]
     systems = slice_systems(observed, omega, factor, y_update)
     tall = [j for j, (kept, _) in enumerate(systems) if len(kept) >= q]
-    grams = np.stack([systems[j][0].T @ systems[j][0] for j in tall])
-    rhs = np.stack([systems[j][1] @ systems[j][0] for j in tall])
-    return np.array(tall), grams, rhs
+    grams = np.reshape([systems[j][0].T @ systems[j][0] for j in tall], (-1, q, q))
+    rhs = np.reshape([systems[j][1] @ systems[j][0] for j in tall], (-1, q))
+    return np.array(tall, dtype=int), grams, rhs
 
 
 @pytest.mark.parametrize(
@@ -742,87 +755,56 @@ def tall_systems(observed, omega, factor, y_update):
      (24, 20, 7, 3, 0.6), (30, 35, 6, 1, 0.5)],
 )
 def test_spectral_grams_match_the_gather(m, n, k, r, p):
-    # k = 1, odd k, r = 1 and m != n included; _Spectral is built directly,
-    # whatever route the plan would take
+    # k = 1, odd k, r = 1 and m != n included; without labels, and with the
+    # t = 3 label subsets of a median call, whose system (subset, slice)
+    # observes the entries of its slice in its subset
     rng = np.random.default_rng(m * n + k)
     omega = sample_bernoulli(m, n, k, p, RngSeed(k, f"spectral-{m}-{n}"))
     observed = project(rng.standard_normal((m, n, k)), omega)
+    seed = RngSeed(k, "spectral-split")
     for y_update, factor in ((True, rng.standard_normal((m, r, k))),
                              (False, rng.standard_normal((n, r, k)))):
-        tall, grams, rhs = tall_systems(observed, omega, factor, y_update)
-        layout = (lambda a: a.transpose(1, 0, 2)) if y_update else np.asarray
-        spectral = _Spectral(layout(omega.mask), layout(observed), tall, r * k, y_update)
-        blocks = [(s.copy(), g.copy(), b.copy()) for s, g, b in spectral.grams(factor)]
-        assert np.array_equal(np.concatenate([s for s, _, _ in blocks]), tall)
-        got = np.concatenate([g for _, g, _ in blocks])
-        assert np.array_equal(got, got.transpose(0, 2, 1))
-        for new, ref in ((got, grams), (np.concatenate([b for _, _, b in blocks]), rhs)):
-            new, ref = new.reshape(len(tall), -1), ref.reshape(len(tall), -1)
-            assert np.all(np.linalg.norm(new - ref, axis=1) <= 1e-14 * np.linalg.norm(ref, axis=1))
-
-
-@pytest.mark.parametrize(
-    "m, n, k, p, spectral",
-    [(50, 50, 10, 0.5, True), (50, 50, 20, 0.5, True), (20, 40, 5, 0.1, False)],
-)
-def test_route_rule(m, n, k, p, spectral):
-    # the altmin-desk and altmin-tall-k shapes take the spectral route, the
-    # low-p golden shape the gather; a labelled plan always gathers
-    omega = sample_bernoulli(m, n, k, p, RngSeed(46, "route"))
-    observed = project(np.ones((m, n, k)), omega)
-    for y_update in (True, False):
-        assert (_Plan(observed, omega, 3 * k, y_update).spectral is not None) == spectral
-        for t in (1, 3):
-            labels = split_labels(omega, t, RngSeed(t, "route-split"))
-            assert _Plan(observed, omega, 3 * k, y_update, labels, t).spectral is None
-
-
-def test_block_mixing_singular_and_regular_tall_slices():
-    # Rows i < 10 of x repeat their first column, so a lateral slice that
-    # observes only those rows has a singular Gram (rank k < r*k) although
-    # it is tall (30 rows, 6 unknowns).  The other slices observe every
-    # entry.  All eight systems fall in one block, which must split them.
-    m, n, k = 20, 8, 3
-    rng = np.random.default_rng(43)
-    x = rng.standard_normal((m, 2, k))
-    x[:10, 1] = x[:10, 0]
-    mask = np.ones((m, n, k), dtype=bool)
-    mask[10:, [1, 4, 6], :] = False
-    omega = SampleSet(mask)
-    observed = project(rng.standard_normal((m, n, k)), omega)
-    rows = circulant_rows(x, 1)
-    q = rows.shape[1]
-    assert n <= BLOCK_BYTES // (8 * q * q)
-    slices = mask.transpose(1, 0, 2).reshape(n, -1)
-    grams = np.stack([rows[sl].T @ rows[sl] for sl in slices])
-    assert list(np.flatnonzero(_pivot_singular(grams))) == [1, 4, 6]
-    got = ls_solve_y(observed, omega, x)
-    assert np.array_equal(got, dense_mask_half_step(observed, omega, x, True, [omega])[0])
-    assert_close(got, freq_oracle_y(observed, omega, x))
+        slices = n if y_update else m
+        labelled = (split_labels(omega, 3, seed), split(omega, 3, seed))
+        for labels, parts in ((None, [omega]), labelled):
+            refs = [tall_systems(observed, part, factor, y_update) for part in parts]
+            tall = np.concatenate([s * slices + ref[0] for s, ref in enumerate(refs)])
+            plan = _Plan(observed, omega, r * k, y_update, labels, len(parts))
+            blocks = [(s.copy(), g.copy(), b.copy()) for s, g, b in plan.spectral.grams(factor)]
+            assert np.array_equal(np.concatenate([s for s, _, _ in blocks]), tall)
+            got = np.concatenate([g for _, g, _ in blocks])
+            assert np.array_equal(got, got.transpose(0, 2, 1))
+            for new, ref in ((got, np.concatenate([ref[1] for ref in refs])),
+                             (np.concatenate([b for _, _, b in blocks]),
+                              np.concatenate([ref[2] for ref in refs]))):
+                new, ref = new.reshape(len(tall), -1), ref.reshape(len(tall), -1)
+                error = np.linalg.norm(new - ref, axis=1)
+                assert np.all(error <= 1e-14 * np.linalg.norm(ref, axis=1))
 
 
 def test_spectral_block_mixing_singular_and_regular_tall_slices():
-    # The construction above at a size that takes the spectral route: rows
-    # i < 30 of x repeat their first column, so slices 1, 4 and 6, which
-    # observe only those rows, have singular Grams (rank k < r*k).
-    m, n, k = 60, 12, 6
-    rng = np.random.default_rng(44)
-    x = rng.standard_normal((m, 2, k))
-    x[:30, 1] = x[:30, 0]
-    mask = np.ones((m, n, k), dtype=bool)
-    mask[30:, [1, 4, 6], :] = False
-    omega = SampleSet(mask)
-    observed = project(rng.standard_normal((m, n, k)), omega)
-    plan = _Plan(observed, omega, 2 * k, True)
-    assert plan.spectral is not None
-    _, grams, _ = tall_systems(observed, omega, x, True)
-    spectral = np.concatenate([_pivot_singular(g) for _, g, _ in plan.spectral.grams(x)])
-    gathered = _pivot_singular(grams)
-    assert list(np.flatnonzero(spectral)) == list(np.flatnonzero(gathered)) == [1, 4, 6]
-    got = ls_solve_y(observed, omega, x, plan=plan)
-    ref = dense_mask_half_step(observed, omega, x, True, [omega])[0]
-    assert frobenius_norm(got - ref) <= 1e-12 * frobenius_norm(ref)
-    assert_close(got, freq_oracle_y(observed, omega, x))
+    # Rows i < m/2 of x repeat their first column, so slices 1, 4 and 6,
+    # which observe only those rows, have singular Grams (rank k < r*k)
+    # although they are tall.  The other slices observe every entry.  All
+    # systems fall in one block, which must split them.
+    for m, n, k, seed in ((20, 8, 3, 43), (60, 12, 6, 44)):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((m, 2, k))
+        x[: m // 2, 1] = x[: m // 2, 0]
+        mask = np.ones((m, n, k), dtype=bool)
+        mask[m // 2 :, [1, 4, 6], :] = False
+        omega = SampleSet(mask)
+        observed = project(rng.standard_normal((m, n, k)), omega)
+        plan = _Plan(observed, omega, 2 * k, True)
+        _, grams, _ = tall_systems(observed, omega, x, True)
+        spectral = np.concatenate([_pivot_singular(g) for _, g, _ in plan.spectral.grams(x)])
+        gathered = _pivot_singular(grams)
+        assert list(np.flatnonzero(spectral)) == list(np.flatnonzero(gathered)) == [1, 4, 6]
+        assert len(plan.spectral.blocks) == 1
+        got = ls_solve_y(observed, omega, x, plan=plan)
+        ref = dense_mask_half_step(observed, omega, x, True, [omega])[0]
+        assert frobenius_norm(got - ref) <= 1e-12 * frobenius_norm(ref)
+        assert_close(got, freq_oracle_y(observed, omega, x))
 
 
 @pytest.mark.parametrize("eps, singular", [(3e-11, True), (3e-10, False)])
