@@ -782,29 +782,57 @@ def test_spectral_grams_match_the_gather(m, n, k, r, p):
                 assert np.all(error <= 1e-14 * np.linalg.norm(ref, axis=1))
 
 
+def test_block_mixing_singular_and_regular_tall_slices():
+    # Rows i < 10 of x repeat their first column, so a lateral slice that
+    # observes only those rows has a singular Gram (rank k < r*k) although
+    # it is tall (30 rows, 6 unknowns).  The other slices observe every
+    # entry.  All eight systems fall in one block, which must split them.
+    m, n, k = 20, 8, 3
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((m, 2, k))
+    x[:10, 1] = x[:10, 0]
+    mask = np.ones((m, n, k), dtype=bool)
+    mask[10:, [1, 4, 6], :] = False
+    omega = SampleSet(mask)
+    observed = project(rng.standard_normal((m, n, k)), omega)
+    rows = circulant_rows(x, 1)
+    q = rows.shape[1]
+    assert n <= BLOCK_BYTES // (8 * q * q)
+    slices = mask.transpose(1, 0, 2).reshape(n, -1)
+    grams = np.stack([rows[sl].T @ rows[sl] for sl in slices])
+    assert list(np.flatnonzero(_pivot_singular(grams))) == [1, 4, 6]
+    plan = _Plan(observed, omega, 2 * k, True)
+    spectral = np.concatenate([_pivot_singular(g) for _, g, _ in plan.spectral.grams(x)])
+    assert list(np.flatnonzero(spectral)) == [1, 4, 6]
+    assert len(plan.spectral.blocks) == 1
+    got = ls_solve_y(observed, omega, x)
+    ref = dense_mask_half_step(observed, omega, x, True, [omega])[0]
+    assert frobenius_norm(got - ref) <= 1e-12 * frobenius_norm(ref)
+    assert_close(got, freq_oracle_y(observed, omega, x))
+
+
 def test_spectral_block_mixing_singular_and_regular_tall_slices():
-    # Rows i < m/2 of x repeat their first column, so slices 1, 4 and 6,
-    # which observe only those rows, have singular Grams (rank k < r*k)
-    # although they are tall.  The other slices observe every entry.  All
-    # systems fall in one block, which must split them.
-    for m, n, k, seed in ((20, 8, 3, 43), (60, 12, 6, 44)):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((m, 2, k))
-        x[: m // 2, 1] = x[: m // 2, 0]
-        mask = np.ones((m, n, k), dtype=bool)
-        mask[m // 2 :, [1, 4, 6], :] = False
-        omega = SampleSet(mask)
-        observed = project(rng.standard_normal((m, n, k)), omega)
-        plan = _Plan(observed, omega, 2 * k, True)
-        _, grams, _ = tall_systems(observed, omega, x, True)
-        spectral = np.concatenate([_pivot_singular(g) for _, g, _ in plan.spectral.grams(x)])
-        gathered = _pivot_singular(grams)
-        assert list(np.flatnonzero(spectral)) == list(np.flatnonzero(gathered)) == [1, 4, 6]
-        assert len(plan.spectral.blocks) == 1
-        got = ls_solve_y(observed, omega, x, plan=plan)
-        ref = dense_mask_half_step(observed, omega, x, True, [omega])[0]
-        assert frobenius_norm(got - ref) <= 1e-12 * frobenius_norm(ref)
-        assert_close(got, freq_oracle_y(observed, omega, x))
+    # The construction above at a larger size: rows i < 30 of x repeat
+    # their first column, so slices 1, 4 and 6, which observe only those
+    # rows, have singular Grams (rank k < r*k).
+    m, n, k = 60, 12, 6
+    rng = np.random.default_rng(44)
+    x = rng.standard_normal((m, 2, k))
+    x[:30, 1] = x[:30, 0]
+    mask = np.ones((m, n, k), dtype=bool)
+    mask[30:, [1, 4, 6], :] = False
+    omega = SampleSet(mask)
+    observed = project(rng.standard_normal((m, n, k)), omega)
+    plan = _Plan(observed, omega, 2 * k, True)
+    _, grams, _ = tall_systems(observed, omega, x, True)
+    spectral = np.concatenate([_pivot_singular(g) for _, g, _ in plan.spectral.grams(x)])
+    gathered = _pivot_singular(grams)
+    assert list(np.flatnonzero(spectral)) == list(np.flatnonzero(gathered)) == [1, 4, 6]
+    assert len(plan.spectral.blocks) == 1
+    got = ls_solve_y(observed, omega, x, plan=plan)
+    ref = dense_mask_half_step(observed, omega, x, True, [omega])[0]
+    assert frobenius_norm(got - ref) <= 1e-12 * frobenius_norm(ref)
+    assert_close(got, freq_oracle_y(observed, omega, x))
 
 
 @pytest.mark.parametrize("eps, singular", [(3e-11, True), (3e-10, False)])
