@@ -2,13 +2,12 @@
 
 Runs altmin-simple, altmin-full and tnn-admm through
 `harness.run_algorithm` on each instance of CASES and records, per run, the
-iteration count (`path_iterations` for TNN-ADMM's lambda path), the RSE
-trace, and the estimate's Frobenius norm and inner products with four
-seeded Gaussian tensors.  Floats are stored as `float.hex`.  A fresh run
-matches the stored one when the iteration counts and trace lengths are
-equal, every trace entry is within REL_TOL relative (ABS_FLOOR absolute),
-and the norm and every inner product are within REL_TOL * the stored norm
-(ABS_FLOOR for a zero estimate).
+iteration count, the RSE trace, and the estimate's Frobenius norm and inner
+products with four seeded Gaussian tensors.  Floats are stored as
+`float.hex`.  A fresh run matches the stored one when the iteration counts
+and trace lengths are equal, every trace entry is within REL_TOL relative
+(ABS_FLOOR absolute), and the norm and every inner product are within
+REL_TOL * the stored norm (ABS_FLOOR for a zero estimate).
 The rule is not bitwise: the same code gives different last bits at
 different BLAS thread counts.
 
@@ -16,7 +15,8 @@ different BLAS thread counts.
     python3 scripts/golden.py --write   # regenerate tests/golden.json
 
 Without --write it prints each run's largest deviations and exits 1 when
-any run breaks the rule.
+any run breaks the rule.  --write keeps each stored run that still matches,
+so a regeneration shows only the runs that moved.
 """
 
 import argparse
@@ -56,7 +56,7 @@ CASES = {
 def summarize(report, probes):
     estimate = report.estimate.ravel()
     return {
-        "iterations": report.path_iterations or len(report.rse),
+        "iterations": len(report.rse),
         "rse": [float(v).hex() for v in report.rse],
         "norm": float(np.linalg.norm(estimate)).hex(),
         "projections": [float(v).hex() for v in probes @ estimate],
@@ -106,18 +106,27 @@ def compare(golden, fresh):
     return failures
 
 
+def merged(golden, fresh):
+    """The goldens to write: the stored run for each key of `fresh` whose run
+    still matches it, the fresh run for the others; keys not in `fresh` go."""
+    return {key: golden[key] if key in golden and not compare({key: golden[key]}, {key: run})
+            else run for key, run in fresh.items()}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help="regenerate tests/golden.json")
     args = parser.parse_args(argv)
     fresh = run_cases()
+    golden = {}
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN) as fh:
+            golden = json.load(fh)
     if args.write:
         with open(GOLDEN, "w") as fh:
-            json.dump(fresh, fh, indent=1, sort_keys=True)
+            json.dump(merged(golden, fresh), fh, indent=1, sort_keys=True)
             fh.write("\n")
         return 0
-    with open(GOLDEN) as fh:
-        golden = json.load(fh)
     for key in sorted(golden.keys() & fresh.keys()):
         print(f"{key}: deviation / tolerance (trace, projections) = "
               f"{deviations(golden[key], fresh[key])}")

@@ -72,13 +72,11 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Per-iteration error/time trace, with the estimate and solver state."""
+    """Per-iteration error/time trace, with the estimate."""
 
     rse: list
     seconds: list
     estimate: np.ndarray
-    admm_state: tuple | None = None  # final (z, q), to warm-start the next run
-    path_iterations: int | None = None  # ADMM iterations of the whole lambda path
 
 
 def rse(estimate, truth):

@@ -40,8 +40,6 @@ OPTIONS = {
     "rates": dict(type=_csv(float), help="csv list in (0,1]"),
     "algo": dict(dest="algorithms", action="append", choices=harness.ALGORITHMS),
     "iters": dict(dest="iterations", type=int),
-    "lambda": dict(dest="lam", type=float),
-    "alpha": dict(type=float, help="ADMM penalty; unset: the sampling rate"),
     "seed": dict(type=int),
     "reps": dict(dest="repetitions", type=int),
     "out": dict(dest="out_dir", help="output directory"),
@@ -53,7 +51,7 @@ OPTIONS = {
     "mask": dict(help="sample-set text file"),
 }
 PATHS = ("file", "input", "output", "mask")  # the dests that are not spec fields
-SOLVE = "rank rates algo iters lambda alpha seed"
+SOLVE = "rank rates algo iters seed"
 COMMANDS = {
     "gen": ("synthesize a low-tubal-rank instance", "size rank seed file"),
     "sweep": ("final RSE vs sampling rate", f"size {SOLVE} reps out"),

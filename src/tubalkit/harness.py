@@ -24,14 +24,13 @@ from .altmin import SolverConfig, check_counts, fit_line, trace_error, tubal_alt
 from .errors import (
     BadMagic,
     FileFormatError,
-    InsufficientSamples,
     InvalidEntries,
     SolverBreakdown,
     TruncatedFile,
     TubalError,
 )
 from .sampling import RngSeed, check_file_dims, project, read_sample_set, sample_bernoulli
-from .tnn_admm import admm_complete, lambda_grid
+from .tnn_admm import admm_complete
 from . import sampling
 
 T3B_MAGIC = b"T3B1"
@@ -83,8 +82,6 @@ class ExperimentSpec:
     rates: list = field(default_factory=lambda: [0.5])
     algorithms: tuple = ("altmin-simple",)
     iterations: int = 15
-    lam: float | None = None
-    alpha: float | None = None
     seed: int = 0
     repetitions: int = 1
     out_dir: str = "."
@@ -105,10 +102,8 @@ class ExperimentSpec:
             raise ValueError(f"rank {self.rank} outside [1, {min(self.m, self.n)}]")
         if any(not 0 < rate <= 1 for rate in self.rates):
             raise ValueError("sampling rates must lie in (0, 1]")
-        for name in ("lam", "alpha", "threshold"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < np.inf:
-                raise ValueError(f"{name} {value} must be finite and positive")
+        if not 0 < self.threshold < np.inf:
+            raise ValueError(f"threshold {self.threshold} must be finite and positive")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
@@ -134,44 +129,18 @@ def write_csv(out_dir, name, header, rows):
 
 
 def run_algorithm(spec, algo, observed, omega, truth, run_seed):
-    """Run one algorithm on one masked instance, returning its report.
-
-    TNN-ADMM without `spec.lam` is a continuation along `lambda_grid`: the
-    runs go from the largest lambda down, the first from its exact optimum
-    and each later one warm-started from the previous one's (z, q), and the
-    last run is returned, so no choice reads `truth`.  Its `seconds` count
-    from the start of the path, and its `path_iterations` counts the
-    iterations of every run.  A LAPACK failure is raised as `SolverBreakdown`.
-    """
+    """Run one algorithm on one masked instance, returning its report; a
+    LAPACK failure is raised as `SolverBreakdown`."""
     try:
-        if algo != "tnn-admm":
-            cfg = SolverConfig(
-                target_rank=spec.rank,
-                iterations=spec.iterations,
-                variant="full" if algo == "altmin-full" else "simplified",
-                seed=run_seed,
-            )
-            return tubal_alt_min(observed, omega, cfg, ground_truth=truth)
-        observed = sampling.check_observed(observed, omega)  # lambda grid and start read P_Omega Y
-        if spec.lam is not None:
-            lams, state = [spec.lam], None
-        elif not np.any(observed):  # every grid lambda would be 0
-            raise InsufficientSamples("no nonzero observation to scale the lambda grid")
-        else:  # the top lambda's optimum: z = 0 with multiplier q = P_Omega Y
-            lams = lambda_grid(observed)[::-1]
-            state = (np.zeros_like(observed), observed)
-        total = 0
-        path_start = time.perf_counter()
-        for lam in lams:
-            offset = time.perf_counter() - path_start
-            report = admm_complete(
-                observed, omega, float(lam), spec.alpha, ground_truth=truth, start=state
-            )
-            state = report.admm_state
-            total += len(report.rse)
-            report.seconds = [offset + s for s in report.seconds]
-        report.path_iterations = total
-        return report
+        if algo == "tnn-admm":
+            return admm_complete(observed, omega, ground_truth=truth)
+        cfg = SolverConfig(
+            target_rank=spec.rank,
+            iterations=spec.iterations,
+            variant="full" if algo == "altmin-full" else "simplified",
+            seed=run_seed,
+        )
+        return tubal_alt_min(observed, omega, cfg, ground_truth=truth)
     except np.linalg.LinAlgError as exc:
         raise SolverBreakdown(f"{algo}: {exc}") from exc
 
@@ -213,7 +182,7 @@ def run_recovery_sweep(spec):
         if isinstance(report, TubalError):
             iters, final, secs = 0, float("nan"), wall
         else:
-            iters = report.path_iterations or len(report.rse)
+            iters = len(report.rse)
             final, secs = report.rse[-1], report.seconds[-1]
         rows.append(TraceRow(algo, rate, rep, iters, final, secs))
     write_csv(spec.out_dir, "sweep.csv", CSV_HEADER, rows)
@@ -300,7 +269,7 @@ def complete_file(input_path, output_path, mask_path=None, **fields):
         "observed_entries": omega.size,
         "observed_residual": frobenius(project(estimate, omega) - observed),
         "observed_relative_residual": trace_error(estimate, observed, omega),
-        "iterations": report.path_iterations or len(report.rse),
+        "iterations": len(report.rse),
     }
     with open(output_path + ".report.json", "w") as fh:
         json.dump(summary, fh, indent=2)

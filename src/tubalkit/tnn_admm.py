@@ -1,29 +1,29 @@
 """Convex completion baseline: tensor-nuclear-norm minimization by ADMM.
 
-Minimizes 0.5 * ||P_Omega(Y - X)||_F^2 + lambda * TNN(Z) subject to X = Z,
-where TNN is the nuclear norm of the block-diagonal frequency form.  The
-X step is X = W + weight * (P_Omega Y - W), W = Z - Q/alpha, in closed
-form; weight = mask / (1 + alpha) is the only alpha-dependent array it keeps
-across iterations, so a per-iteration alpha must rebuild it.  The Z step is
-singular value soft-thresholding per frequency slice.  The dual Q is the
-unscaled multiplier of X = Z, so the penalty alpha (default: the sampling
-rate) moves only the speed, not the fixed point.
+Minimizes TNN(Z) subject to P_Omega X = P_Omega Y and X = Z, where TNN is
+the nuclear norm of the block-diagonal frequency form, by the inexact
+augmented Lagrange multiplier method (Lin, Chen & Ma 2010) with a growing
+penalty mu.  Each iteration sets X = P_Omega Y + P_Omega^c (Z - Q/mu),
+thresholds the singular values of every frequency slice of X + Q/mu by 1/mu
+to get Z, adds mu (X - Z) to the multiplier Q, and raises mu by RHO up to
+MU_MAX.  mu starts at 1 / ||P_Omega Y||_2, whose first threshold zeroes Z.
+The fixed point does not depend on the schedule; where a run stops can,
+since its steps shrink as 1/mu.
 
-A run stops on its primal and dual residuals (Boyd et al. 2011), scaled by
-||P_Omega Y|| rather than by ||X|| or ||Z||, so the run at lambda =
-spectral norm, whose optimum is Z = 0, stops too.  A run can start from an
-earlier run's final (Z, Q), which warm-starts a decreasing lambda path.
+A run stops when ||X - Z|| and ||Z - Z_prev|| are both at most
+TOL * ||P_Omega Y||, or after MAX_ITERS iterations.
 
-Within a run, each `svt` call is warm-started from the previous call's
-leading right singular vectors (Yao & Kwok 2015): a few power steps and one
-Rayleigh-Ritz step replace the full SVD when they provably give the same
-thresholded slices, checked on every call; the full SVD is the fallback.
-The check that the discarded values are at most the threshold is chained
-by Weyl's inequality: per slice, a bound on the previous call's values past
-its kept ones, plus how far the slice moved, plus twice the kept Ritz
-triplets' residual norm (at most sqrt(r) * RITZ_TOL * s_1 each time) must
-stay within the threshold, and no slice may keep fewer values than before.
-Otherwise a power bound on the rest decides and restarts the chain.
+Each `svt` call is warm-started from the previous call's leading right
+singular vectors (Yao & Kwok 2015): a few power steps and one Rayleigh-Ritz
+step replace the full SVD when they provably give the same thresholded
+slices, checked on every call; the full SVD is the fallback.  The check
+that the discarded values are at most the threshold is chained by Weyl's
+inequality: per slice, a bound on the previous call's values past its kept
+ones, plus how far the slice moved, plus twice the kept Ritz triplets'
+residual norm (at most sqrt(r) * RITZ_TOL * s_1 each time) must stay within
+the threshold, and no slice may keep fewer values than before.  The rule
+compares with the current threshold, so it holds as 1/mu falls.  Otherwise
+a power bound on the rest decides and restarts the chain.
 """
 
 import time
@@ -39,12 +39,13 @@ from .algebra import (
     _check3,
 )
 from .altmin import SolveReport, trace_error
-from .errors import DimensionMismatch, InvalidEntries
+from .errors import InsufficientSamples
 from .sampling import check_observed
 
-GRID_POINTS = 5  # candidate weights in lambda_grid
 MAX_ITERS = 500  # most ADMM iterations of one run
 TOL = 1e-6  # stop when both residuals are within TOL * ||P_Omega Y||
+RHO = 1.1  # growth of the penalty mu per iteration
+MU_MAX = 1e10  # largest penalty
 OVERSAMPLE = 4  # warm-basis columns beyond the kept rank
 MAX_BLOCK = 8  # widest warm basis; wider warm attempts cost more than an SVD
 POWER_STEPS = 6  # most power steps one warm svt call takes
@@ -143,7 +144,9 @@ def svt(t, eps, *, basis=None):
       s_{c+1}(f' + E) <= B + ||f' - f||_F + ||E||.  The rule asks
       B + ||f' - f||_F + 2||E|| <= eps, the second ||E|| being a margin of
       at most sqrt(c) * RITZ_TOL * s_1 per slice; the chain goes on with
-      B + ||f' - f||_F.
+      B + ||f' - f||_F.  Nothing in the rule reads the previous eps, so
+      the chain carries over a threshold that changes between calls, as
+      admm_complete's 1/mu falls.
     - Otherwise sigma_max(R) <= ||(R^H R)^4||_F^(1/8) <= eps for the rest R
       of every slice, f minus its kept part, which restarts the chain.
     """
@@ -167,37 +170,18 @@ def svt(t, eps, *, basis=None):
     return z, (_ct(vh[:, :width]), steps, (f, counts, tail))
 
 
-def lambda_grid(observed):
-    """Geometric grid of GRID_POINTS weights, [1e-3, 1] x the spectral norm
-    of `observed`, which callers pass as P_Omega Y."""
-    return np.geomspace(1e-3, 1.0, GRID_POINTS) * spectral_norm(observed)
-
-
-def admm_complete(observed, omega, lam, alpha=None, ground_truth=None, start=None):
-    """Run the ADMM recursion with weight `lam` and penalty `alpha` (None:
-    the sampling rate of omega) until both residuals meet TOL or MAX_ITERS.
-
-    The primal residual ||x - z|| and the dual residual alpha*||z - z_prev||
-    are compared with TOL * ||P_Omega Y||.  `start` is an optional
-    finite (z, q) pair, e.g. the `admm_state` of a run at a larger lambda;
-    by default both start at zero.  The report's `admm_state` holds this
-    run's final (z, q).
-    """
-    if not (0 < lam < np.inf and (alpha is None or 0 < alpha < np.inf)):
-        raise ValueError("lam and alpha must be finite and positive")
+def admm_complete(observed, omega, ground_truth=None):
+    """Run the constrained ADMM recursion from z = q = 0 until both
+    residuals meet TOL or MAX_ITERS; raises InsufficientSamples when every
+    observation is zero, where the first penalty 1 / ||P_Omega Y||_2 is
+    undefined."""
     observed = check_observed(observed, omega)
-    alpha = omega.size / observed.size if alpha is None else alpha
-    if start is None:
-        z = np.zeros_like(observed)
-        q = np.zeros_like(observed)
-    else:
-        # copies: q is updated in place, and a caller may pass P_Omega Y as q
-        z, q = (np.array(a, dtype=float) for a in start)
-        if z.shape != observed.shape or q.shape != observed.shape:
-            raise DimensionMismatch(f"start {z.shape}/{q.shape} vs {observed.shape}")
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(q))):
-            raise InvalidEntries("start (z, q) is not finite")
-    weight = omega.mask / (1.0 + alpha)
+    top = spectral_norm(observed)
+    if top == 0:
+        raise InsufficientSamples("no nonzero observation to scale the penalty")
+    mu = 1.0 / top
+    z = np.zeros_like(observed)
+    q = np.zeros_like(observed)
     x = np.empty_like(observed)
     gap = np.empty_like(observed)
     scaled_q = np.empty_like(observed)
@@ -207,20 +191,19 @@ def admm_complete(observed, omega, lam, alpha=None, ground_truth=None, start=Non
     t0 = time.perf_counter()
     basis = None
     for _ in range(MAX_ITERS):
-        np.divide(q, alpha, out=scaled_q)
+        np.divide(q, mu, out=scaled_q)
         np.subtract(z, scaled_q, out=x)
-        np.subtract(observed, x, out=gap)
-        gap *= weight
-        x += gap
+        np.copyto(x, observed, where=omega.mask)
         z_prev = z
-        z, basis = svt(x + scaled_q, lam / alpha, basis=basis)
+        z, basis = svt(x + scaled_q, 1.0 / mu, basis=basis)
         np.subtract(x, z, out=gap)
         primal = frobenius(gap)
-        gap *= alpha
+        gap *= mu
         q += gap
         rse_trace.append(trace_error(x, observed, omega, ground_truth))
         seconds.append(time.perf_counter() - t0)
-        if primal <= stop and alpha * frobenius(z - z_prev) <= stop:
+        if primal <= stop and frobenius(z - z_prev) <= stop:
             break
+        mu = min(RHO * mu, MU_MAX)
 
-    return SolveReport(rse=rse_trace, seconds=seconds, estimate=x, admm_state=(z, q))
+    return SolveReport(rse=rse_trace, seconds=seconds, estimate=x)

@@ -29,9 +29,8 @@ truth, _ = sampling.synth_low_tubal_rank(50, 50, 10, 3, sampling.RngSeed(0, "thr
 omega = sampling.sample_bernoulli(50, 50, 10, 0.5, sampling.RngSeed(0, "threads-mask"))
 observed = sampling.project(truth, omega)
 cfg = altmin.SolverConfig(target_rank=3, iterations=8, seed=sampling.RngSeed(0, "threads-run"))
-lam = tnn_admm.lambda_grid(observed)[2]
 runs = [altmin.tubal_alt_min(observed, omega, cfg, ground_truth=truth),
-        tnn_admm.admm_complete(observed, omega, lam, ground_truth=truth)]
+        tnn_admm.admm_complete(observed, omega, ground_truth=truth)]
 print([[v.hex() for v in run.rse] for run in runs])
 """
 

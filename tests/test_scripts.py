@@ -1,6 +1,7 @@
 """scripts/gram_conditioning.py rebuilds the solver's slice Grams from
 tls.circulant_rows.  Running it on a tiny instance in the fast suite keeps
-it from drifting away from the solver unnoticed."""
+it from drifting away from the solver unnoticed.  scripts/golden.py's merge
+of stored and fresh goldens is checked on hand-made runs."""
 
 import dataclasses
 import importlib.util
@@ -11,11 +12,11 @@ import numpy as np
 
 from tubalkit.sampling import RngSeed, project, sample_bernoulli
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "gram_conditioning.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("gram_conditioning", SCRIPT)
+def load_script(name="gram_conditioning"):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -52,3 +53,15 @@ def test_gram_conditioning_main_runs_end_to_end(monkeypatch, capsys):
     for line in lines:
         assert "(1 instances, seed 3)" in line and "largest Gram condition" in line
     assert (script.altmin.ls_solve_y, script.altmin.ls_solve_x) == solvers
+
+
+def test_golden_write_keeps_stored_runs_that_still_match(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    script = load_script("golden")
+    run = {"iterations": 2, "rse": [(0.5).hex(), (0.25).hex()],
+           "norm": (2.0).hex(), "projections": [(1.0).hex(), (-1.0).hex()]}
+    nudged = dict(run, rse=[(0.5 * (1 + 1e-14)).hex(), (0.25).hex()])
+    tampered = dict(run, norm=(2.0 * (1 + 1e-9)).hex())
+    golden = {"kept": run, "moved": run, "removed": run}
+    fresh = {"kept": nudged, "moved": tampered, "added": run}
+    assert script.merged(golden, fresh) == {"kept": run, "moved": tampered, "added": run}
