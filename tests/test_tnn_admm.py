@@ -190,11 +190,15 @@ def test_svt_is_contraction():
             svt(t, bad)
 
 
-def test_admm_x_step_is_the_closed_form(monkeypatch):
+@pytest.mark.parametrize("rho", [None, 3.0])
+def test_admm_x_step_is_the_closed_form(monkeypatch, rho):
     # three iterations replayed from the recorded svt calls: mu starts at
-    # 1 / ||P_Omega Y||_2 and grows by RHO; x is P_Omega Y on Omega and
-    # z - q / mu off it; svt gets x + q / mu; q gains mu (x - z)
+    # 1 / ||P_Omega Y||_2 and grows by RHO (the module's, or a steeper one);
+    # x is P_Omega Y on Omega and z - q / mu off it; svt gets x + q / mu;
+    # q gains mu (x - z)
     _, observed, omega = desk_instance()
+    if rho is not None:
+        monkeypatch.setattr(tnn_admm, "RHO", rho)
     calls = []
 
     def recorded(t, eps, *, basis=None):
