@@ -227,7 +227,7 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
         parts = split(omega_plus, cfg.iterations, cfg.seed.derive("split-iters"))
         if omega0.size == 0 or any(part.size == 0 for part in parts):
             raise InsufficientSamples("a split subset is empty")
-        x = initialize(project(observed, omega0), omega0, r, cfg.seed)
+        x = initialize(observed, omega0, r, cfg.seed)
 
         def solve_y(part, x, seed):
             return median_ls(observed, part, x, seed)
