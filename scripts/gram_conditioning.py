@@ -3,7 +3,9 @@
 Solves every instance of the `altmin-desk` and `altmin-tall-k` benchmark
 workloads (perfbench/workloads.py) at one seed and records, for every
 half-step, the 2-norm condition number of each slice's Gram matrix
-C^T diag(mask_j) C, where C is the known factor's circulant rows.  The
+C^T diag(mask_j) C, where C is the known factor's circulant rows.  An X
+half-step is the Y half-step of the t-transposed problem, so its masks
+are the lateral slices of the t-transposed sample set.  The
 solver forms normal equations, so its relative error is about machine
 epsilon times this number, where an orthogonal factorization would lose
 only its square root.
@@ -22,15 +24,15 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 from tubalkit import altmin, tls  # noqa: E402
+from tubalkit.algebra import ttranspose  # noqa: E402
 
 
-def gram_conditions(observed, omega, factor, y_update):
-    """Condition number of every slice's Gram in one half-step."""
-    rows = tls.circulant_rows(factor, 1 if y_update else -1)
-    # lateral slices, rows (i, kappa), for Y; horizontal, rows (j, kappa), for X
-    by_slice = np.swapaxes(omega.mask, 0, 1) if y_update else omega.mask
-    masks = by_slice.reshape(by_slice.shape[0], -1)
-    grams = np.stack([rows[mask].T @ rows[mask] for mask in masks])
+def gram_conditions(mask, factor):
+    """Condition number of every lateral slice's Gram in the solve of
+    T ~ factor * Z^dag for Z, observed on the boolean grid `mask`."""
+    rows = tls.circulant_rows(factor)
+    slices = np.swapaxes(mask, 0, 1).reshape(mask.shape[1], -1)  # rows (i, kappa)
+    grams = np.stack([rows[keep].T @ rows[keep] for keep in slices])
     return np.linalg.cond(grams)
 
 
@@ -42,11 +44,11 @@ def main(argv=None):
     solve_y, solve_x = altmin.ls_solve_y, altmin.ls_solve_x
 
     def traced_y(observed, omega, x, **kwargs):
-        conds["y"].append(gram_conditions(observed, omega, x, True))
+        conds["y"].append(gram_conditions(omega.mask, x))
         return solve_y(observed, omega, x, **kwargs)
 
     def traced_x(observed, omega, y, **kwargs):
-        conds["x"].append(gram_conditions(observed, omega, y, False))
+        conds["x"].append(gram_conditions(ttranspose(omega.mask), y))
         return solve_x(observed, omega, y, **kwargs)
 
     altmin.ls_solve_y, altmin.ls_solve_x = traced_y, traced_x

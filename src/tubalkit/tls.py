@@ -5,9 +5,8 @@ slices j.  Entry (i, j, kappa) of X * Y^dag is the sum over (s, sigma) of
 x[i, s, (kappa + sigma) mod k] * y[j, s, sigma], so every observed entry is
 one real row of the circulant-row matrix C: row (i, kappa), column
 (s, sigma) holds x[i, s, (kappa + sigma) mod k].  All slices share C; slice
-j keeps the rows it observes.  The X update is the same kernel on
-horizontal slices i, with rows (j, kappa) holding
-y[j, s, (sigma - kappa) mod k].
+j keeps the rows it observes.  The X update is the same kernel on the
+t-transposed problem T^dag ~ Y * X^dag, with y as the factor.
 
 Each slice system K z = b, with h observed rows and q = r*k unknowns, is
 solved by its row count: z = 0 for h = 0; for 0 < h < q the minimum-norm
@@ -41,11 +40,11 @@ SINGULAR_TOL = 1e-10
 BLOCK_BYTES = 512 * 1024
 
 
-def circulant_rows(factor, sign, out=None):
+def circulant_rows(factor, out=None):
     """(p*k, r*k) matrix whose row (i, kappa) and column (s, sigma) hold
-    factor[i, s, (sigma + sign * kappa) mod k]; `out`, if given, is contiguous."""
+    factor[i, s, (kappa + sigma) mod k]; `out`, if given, is contiguous."""
     p, r, k = factor.shape
-    shift = (np.arange(k) + sign * np.arange(k)[:, None]) % k  # [kappa, sigma]
+    shift = np.add.outer(np.arange(k), np.arange(k)) % k  # [kappa, sigma]
     cols = (k * np.arange(r)[:, None] + shift[:, None]).reshape(k, r * k)
     out = np.empty((p * k, r * k)) if out is None else out
     np.take(factor.reshape(p, r * k), cols, 1, out.reshape(p, k, r * k), mode="clip")
@@ -81,17 +80,16 @@ class _Spectral:
     """Tall systems' Grams and right-hand sides from their masks' half spectra.
 
     `mask` and `observed` are (systems, others, k): each system's own mask
-    and observed values, zero off it.  For a Y system with mask M,
+    and observed values, zero off it.  For a system with mask M,
     G[(s, sigma), (s', sigma + delta)] = sum_i sum_u M[i, u - sigma]
     x[i, s, u] x[i, s', u + delta] correlates mask tubes with pair products,
-    so its spectrum is sum_i conj(M^[i]) times theirs; an X system's Gram
-    convolves M with y's pair products and takes M^.  The plan keeps that
+    so its spectrum is sum_i conj(M^[i]) times theirs.  The plan keeps that
     spectrum in real form [[Sr, -Si], [Si, Sr]], per block of systems.  Both
     triangles of a Gram read one pair s <= s', so it is symmetric.  The
     right-hand sides are one t-product of the masked values with the
-    factor: ttranspose(P_Omega T) * X for Y, P_Omega T * Y for X."""
+    factor, ttranspose(P_Omega T) * X."""
 
-    def __init__(self, mask, observed, systems, q, y_update):
+    def __init__(self, mask, observed, systems, q):
         k, kh = mask.shape[2], mask.shape[2] // 2 + 1
         # real DFT matrices: rows 2w, 2w + 1 of forward @ tube are the real and
         # imaginary parts at frequency w; inverse.T maps them back, with 1/k
@@ -102,10 +100,8 @@ class _Spectral:
         self.pairs = np.triu_indices(q // k)
         width = len(self.pairs[0]) * k
         # half spectra (kh, systems, others) of the masks and of P_Omega T
-        spec = freq_slices(mask * 1.0)
-        self.left = freq_slices(observed)
-        if y_update:
-            spec, self.left = spec.conj(), self.left.conj()
+        spec = freq_slices(mask * 1.0).conj()
+        self.left = freq_slices(observed).conj()
         re, im = spec.real, spec.imag
         step = max(1, BLOCK_BYTES // (8 * max(2 * kh * width, q * q)))
         self.blocks = [(systems[s], s, np.block([[re[:, s], -im[:, s]], [im[:, s], re[:, s]]]))
@@ -152,28 +148,30 @@ class _Spectral:
 
 
 class _Plan:
-    """What depends on Omega and the observed values, for one direction and
-    q = r*k unknowns: the np.flatnonzero list of entries in (slice, row)
-    layout, sorted by the `split_labels` grid `labels`, the wide systems'
-    blocks of padded row lists and the circulant-row buffer they read, and
-    the tall systems' `_Spectral`.  System (subset, slice) observes the
-    entries of its slice that `labels` puts in its subset, or all of them
-    without labels.  It serves only the `observed` and `omega` objects it
-    was built from."""
+    """What depends on Omega and the observed values, for q = r*k unknowns
+    of Y or, without `y_update`, of X: the np.flatnonzero list of entries in
+    (slice, row) layout, sorted by the `split_labels` grid `labels`, the wide
+    systems' blocks of padded row lists and the circulant-row buffer they
+    read, and the tall systems' `_Spectral`.  An X plan reads the slices of
+    T^dag.  System (subset, slice) observes the entries of its slice that
+    `labels` puts in its subset, or all of them without labels.  It serves
+    only the `observed` and `omega` objects it was built from."""
 
     def __init__(self, observed, omega, q, y_update, labels=None, t=1):
         if np.shape(observed) != omega.dims:
             raise DimensionMismatch(f"observed {np.shape(observed)} vs omega {omega.dims}")
-        # slices along axis 0, each slice's rows (i or j, kappa) flattened
-        layout = (lambda a: np.swapaxes(a, 0, 1)) if y_update else np.asarray
-        mask = layout(omega.mask)
+        # slices along axis 0, rows (i, kappa); ttranspose(T)[:, i] is T[i, :, -kappa mod k]
+        reverse = -np.arange(omega.dims[2]) % omega.dims[2]
+        layout = (lambda a: np.swapaxes(a, 0, 1)) if y_update else (lambda a: a[:, :, reverse])
+        mask, grid = layout(omega.mask), layout(np.asarray(observed))
         slices, size = len(mask), mask[0].size
         entry = np.flatnonzero(mask)
         system, pos = np.divmod(entry, size)
-        values = layout(observed).take(entry)
+        values = grid.take(entry)
         if labels is not None:
+            labels = layout(labels)
             # the stable sort keeps each system's rows ascending
-            system += layout(labels).take(entry) * slices
+            system += labels.take(entry) * slices
             order = np.argsort(system, kind="stable")
             pos, values = pos[order], values[order]
         count = np.bincount(system, minlength=t * slices)
@@ -187,9 +185,8 @@ class _Plan:
             subset, j = np.divmod(tall, slices)
             own = mask[j]
             if labels is not None:
-                own &= layout(labels)[j] == subset[:, None, None]
-            own_values = np.where(own, layout(observed)[j], 0.0)
-            self.spectral = _Spectral(own, own_values, tall, q, y_update)
+                own &= labels[j] == subset[:, None, None]
+            self.spectral = _Spectral(own, np.where(own, grid[j], 0.0), tall, q)
         # 0 < h < q: sorted by h; each block pads its row lists to its largest
         # h with row `size`, a zero row whose zero eigenvalues the cut drops
         wide = np.flatnonzero((count > 0) & (count < q))
@@ -218,7 +215,7 @@ def _solve(observed, omega, factor, y_update, plan=None, labels=None, t=1):
     if (plan.y_update, plan.size, plan.q) != (y_update, p * k, r * k):
         raise DimensionMismatch(f"{omega.dims} vs factor {factor.shape}, plan q={plan.q}")
     if plan.rows is not None:
-        circulant_rows(factor, 1 if y_update else -1, out=plan.rows[:-1])
+        circulant_rows(factor, out=plan.rows[:-1])
     sol = np.zeros((math.prod(plan.shape), plan.q))
     # h >= q: batched normal equations
     for block, gram, rhs in plan.spectral.grams(factor) if plan.spectral else ():
@@ -242,8 +239,8 @@ def ls_solve_y(observed, omega, x, *, plan=None):
 
 
 def ls_solve_x(observed, omega, y, *, plan=None):
-    """The same over X (m, r, k): horizontal slices, circulant rows of y at
-    sign -1, and `plan` from `_Plan(observed, omega, r*k, False)`."""
+    """The same over X (m, r, k), the Y solve of T^dag ~ Y * X^dag.
+    `plan`: `_Plan(observed, omega, r*k, False)`."""
     return _solve(observed, omega, y, False, plan)[0]
 
 
@@ -252,15 +249,17 @@ def median_count(n):
     return max(1, round(3 * math.log2(n))) if n > 1 else 1
 
 
+def _median(observed, omega, factor, seed, t, y_update):
+    t = t if t is not None else median_count(omega.dims[1 if y_update else 0])
+    sols = _solve(observed, omega, factor, y_update, None, split_labels(omega, t, seed), t)
+    return np.median(sols, axis=0)
+
+
 def median_ls(observed, omega, x, seed, t=None):
     """Element-wise median of per-subset Y solutions over a split of Omega."""
-    t = t if t is not None else median_count(observed.shape[1])
-    sols = _solve(observed, omega, x, True, None, split_labels(omega, t, seed), t)
-    return np.median(sols, axis=0)
+    return _median(observed, omega, x, seed, t, True)
 
 
 def median_ls_x(observed, omega, y, seed, t=None):
-    """Median wrapper for the transposed X update."""
-    t = t if t is not None else median_count(observed.shape[0])
-    sols = _solve(observed, omega, y, False, None, split_labels(omega, t, seed), t)
-    return np.median(sols, axis=0)
+    """The same for X."""
+    return _median(observed, omega, y, seed, t, False)

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tubalkit.sampling import RngSeed, project, sample_bernoulli
+from tubalkit.algebra import ttranspose
+from tubalkit.sampling import RngSeed, sample_bernoulli
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -28,11 +29,11 @@ def test_gram_conditioning_on_a_tiny_instance(monkeypatch):
     script = load_script()
     rng = np.random.default_rng(44)
     omega = sample_bernoulli(6, 5, 3, 0.8, RngSeed(44, "conditioning"))
-    observed = project(rng.standard_normal((6, 5, 3)), omega)
     x = rng.standard_normal((6, 2, 3))
     y = rng.standard_normal((5, 2, 3))
-    for factor, y_update, slices in ((x, True, 5), (y, False, 6)):
-        conds = script.gram_conditions(observed, omega, factor, y_update)
+    # the X half-step's slices are the t-transposed sample set's lateral slices
+    for mask, factor, slices in ((omega.mask, x, 5), (ttranspose(omega.mask), y, 6)):
+        conds = script.gram_conditions(mask, factor)
         assert conds.shape == (slices,)
         assert np.all(np.isfinite(conds)) and np.all(conds >= 1)
 

@@ -21,6 +21,7 @@ from tubalkit.tls import (
     _Plan,
     _pinv_apply,
     _pivot_singular,
+    _solve,
     circulant_rows,
     ls_solve_x,
     ls_solve_y,
@@ -224,7 +225,7 @@ def test_singular_slice_regression():
     # must take the minimum-norm path all the same.
     observed, omega, x = criterion_3_trial(33)
     assert observed.shape == (2, 5, 3) and x.shape[1] == 1
-    kept = circulant_rows(x, 1)[omega.mask[:, 4, :].reshape(-1)]
+    kept = circulant_rows(x)[omega.mask[:, 4, :].reshape(-1)]
     gram = kept.T @ kept
     assert np.linalg.svd(gram, compute_uv=False)[2] < 1e-12
     np.linalg.cholesky(gram)
@@ -253,16 +254,14 @@ def test_rank_deficiency_policy():
 
 
 def slice_systems(observed, omega, factor, y_update):
-    """(K, b) of every slice system: lateral slices j for the Y half-step,
-    horizontal slices i for the X half-step."""
-    if y_update:
-        rows = circulant_rows(factor, 1)
-        masks, values = omega.mask.transpose(1, 0, 2), observed.transpose(1, 0, 2)
-    else:
-        rows = circulant_rows(factor, -1)
-        masks, values = omega.mask, observed
+    """(K, b) of every slice system: lateral slices j of T for the Y
+    half-step, lateral slices i of ttranspose(T) for the X half-step."""
+    masks, values = omega.mask, observed
+    if not y_update:
+        masks, values = ttranspose(masks), ttranspose(values)
+    rows = circulant_rows(factor)
     systems = []
-    for mask, value in zip(masks, values):
+    for mask, value in zip(masks.transpose(1, 0, 2), values.transpose(1, 0, 2)):
         mask = mask.reshape(-1)
         systems.append((rows[mask], value.reshape(-1)[mask]))
     return systems
@@ -427,6 +426,40 @@ def test_transpose_duality():
     assert frobenius_norm(tube_reverse(via) - direct) < 1e-8 * max(
         frobenius_norm(direct), 1.0
     )
+
+
+@pytest.mark.parametrize(
+    "m, n, k, p, wide, tall",
+    [(12, 9, 1, 0.3, True, True), (9, 14, 2, 0.15, True, True),
+     (16, 11, 5, 0.04, True, False), (16, 11, 5, 0.6, False, True)],
+)
+def test_x_half_step_is_the_y_half_step_of_the_t_transpose(m, n, k, p, wide, tall):
+    # T ~ X * Y^dag exactly when T^dag ~ Y * X^dag, so the X solve is the Y
+    # solve on ttranspose(T) and the t-transposed sample set, bit for bit,
+    # and so is its median over the t-transposed label grid.  Horizontal
+    # slice 1 is empty, and a rank-deficient y makes every tall Gram singular.
+    rng = np.random.default_rng(m * n * k)
+    omega = sample_bernoulli(m, n, k, p, RngSeed(k, f"transpose-{m}-{n}"))
+    omega.mask[1] = False
+    observed = project(rng.standard_normal((m, n, k)), omega)
+    omega_t, observed_t = SampleSet(ttranspose(omega.mask)), ttranspose(observed)
+    y = rng.standard_normal((n, 3, k))
+    deficient = y.copy()
+    deficient[:, 2] = deficient[:, 0]
+    plan = _Plan(observed, omega, 3 * k, False)
+    assert (bool(plan.wide), plan.spectral is not None) == (wide, tall)
+    for _, gram, _ in plan.spectral.grams(deficient) if tall else ():
+        assert np.all(_pivot_singular(gram))
+    seed = RngSeed(k, "transpose-split")
+    for factor in (y, deficient):
+        direct = ls_solve_x(observed, omega, factor)
+        assert np.array_equal(direct, ls_solve_y(observed_t, omega_t, factor))
+        assert np.all(direct[1] == 0.0)
+        for t, count in ((3, 3), (None, median_count(m))):
+            labels_t = ttranspose(split_labels(omega, count, seed))
+            sols = _solve(observed_t, omega_t, factor, True, None, labels_t, count)
+            assert np.array_equal(median_ls_x(observed, omega, factor, seed, t=t),
+                                  np.median(sols, axis=0))
 
 
 def test_zero_observation_horizontal_slice():
@@ -650,12 +683,13 @@ def dense_mask_half_step(observed, omega, factor, y_update, subsets):
     """
 
     def slices(t):
-        # (..., m, n, k) -> (..., slices, rows)
-        if y_update:
-            t = np.swapaxes(t, -3, -2)
+        # (..., m, n, k) -> (..., slices, rows): the lateral slices of T for
+        # Y, of ttranspose(T) for X, whose slice i is T[i, :, -kappa mod k]
+        k = t.shape[-1]
+        t = np.swapaxes(t, -3, -2) if y_update else t[..., -np.arange(k) % k]
         return t.reshape(*t.shape[:-2], -1)
 
-    rows = circulant_rows(factor, 1 if y_update else -1)
+    rows = circulant_rows(factor)
     masks = slices(np.stack([sub.mask for sub in subsets]))
     values = slices(project(observed, omega))
     lead, size = masks.shape[:-1], masks.shape[-1]
@@ -795,7 +829,7 @@ def test_block_mixing_singular_and_regular_tall_slices():
     mask[10:, [1, 4, 6], :] = False
     omega = SampleSet(mask)
     observed = project(rng.standard_normal((m, n, k)), omega)
-    rows = circulant_rows(x, 1)
+    rows = circulant_rows(x)
     q = rows.shape[1]
     assert n <= BLOCK_BYTES // (8 * q * q)
     slices = mask.transpose(1, 0, 2).reshape(n, -1)
