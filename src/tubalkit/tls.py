@@ -99,7 +99,7 @@ class _Spectral:
         self.inverse = self.forward * np.repeat((1 + twice) / k, 2)[:, None]
         self.pairs = np.triu_indices(q // k)
         width = len(self.pairs[0]) * k
-        # half spectra (kh, systems, others) of the masks and of P_Omega T
+        # conjugate half spectra (kh, systems, others) of the masks and of P_Omega T
         spec = freq_slices(mask * 1.0).conj()
         self.left = freq_slices(observed).conj()
         re, im = spec.real, spec.imag
@@ -160,9 +160,10 @@ class _Plan:
     def __init__(self, observed, omega, q, y_update, labels=None, t=1):
         if np.shape(observed) != omega.dims:
             raise DimensionMismatch(f"observed {np.shape(observed)} vs omega {omega.dims}")
-        # slices along axis 0, rows (i, kappa); ttranspose(T)[:, i] is T[i, :, -kappa mod k]
-        reverse = -np.arange(omega.dims[2]) % omega.dims[2]
-        layout = (lambda a: np.swapaxes(a, 0, 1)) if y_update else (lambda a: a[:, :, reverse])
+        # slices along axis 0, rows (i, kappa); ttranspose(T)[:, i] is T[i, :, -kappa mod k],
+        # copied by slices: a[:, :, index] would put the tube axis outermost in memory
+        layout = (lambda a: np.swapaxes(a, 0, 1)) if y_update else (
+            lambda a: np.concatenate((a[:, :, :1], a[:, :, :0:-1]), 2))
         mask, grid = layout(omega.mask), layout(np.asarray(observed))
         slices, size = len(mask), mask[0].size
         entry = np.flatnonzero(mask)
@@ -239,8 +240,7 @@ def ls_solve_y(observed, omega, x, *, plan=None):
 
 
 def ls_solve_x(observed, omega, y, *, plan=None):
-    """The same over X (m, r, k), the Y solve of T^dag ~ Y * X^dag.
-    `plan`: `_Plan(observed, omega, r*k, False)`."""
+    """The same over X (m, r, k), as the Y solve of T^dag; `plan`: `_Plan(..., r*k, False)`."""
     return _solve(observed, omega, y, False, plan)[0]
 
 
