@@ -163,16 +163,15 @@ class _Plan:
         # slices along axis 0, rows (i, kappa); ttranspose(T)[:, i] is T[i, :, -kappa mod k],
         # copied by slices: a[:, :, index] would put the tube axis outermost in memory
         layout = (lambda a: np.swapaxes(a, 0, 1)) if y_update else (
-            lambda a: np.concatenate((a[:, :, :1], a[:, :, :0:-1]), 2))
-        mask, grid = layout(omega.mask), layout(np.asarray(observed))
+            lambda a: np.concatenate((np.take(a, [0], 2), np.flip(a, 2)[:, :, :-1]), 2))
+        mask = layout(omega.mask)
         slices, size = len(mask), mask[0].size
         entry = np.flatnonzero(mask)
         system, pos = np.divmod(entry, size)
-        values = grid.take(entry)
+        values = layout(observed).take(entry)
         if labels is not None:
-            labels = layout(labels)
             # the stable sort keeps each system's rows ascending
-            system += labels.take(entry) * slices
+            system += layout(labels).take(entry) * slices
             order = np.argsort(system, kind="stable")
             pos, values = pos[order], values[order]
         count = np.bincount(system, minlength=t * slices)
@@ -186,8 +185,8 @@ class _Plan:
             subset, j = np.divmod(tall, slices)
             own = mask[j]
             if labels is not None:
-                own &= labels[j] == subset[:, None, None]
-            self.spectral = _Spectral(own, np.where(own, grid[j], 0.0), tall, q)
+                own &= layout(labels)[j] == subset[:, None, None]
+            self.spectral = _Spectral(own, np.where(own, layout(observed)[j], 0.0), tall, q)
         # 0 < h < q: sorted by h; each block pads its row lists to its largest
         # h with row `size`, a zero row whose zero eigenvalues the cut drops
         wide = np.flatnonzero((count > 0) & (count < q))
