@@ -16,7 +16,13 @@ TOL * ||P_Omega Y||, or after MAX_ITERS iterations.
 Each `svt` call is warm-started from the previous call's leading right
 singular vectors (Yao & Kwok 2015): a few power steps and one Rayleigh-Ritz
 step replace the full SVD when they provably give the same thresholded
-slices, checked on every call; the full SVD is the fallback.  The check
+slices, checked on every call; the full SVD is the fallback.  A call starts
+with the power steps the previous one handed on and adds one after each
+failed residual check, up to POWER_STEPS.  Two rules keep that count near
+what the slices need: from the second failed check on, an attempt gives up
+for the full SVD once its residual, shrinking at the last observed rate,
+would still miss RITZ_TOL after the remaining checks; and a check that
+passes with a 10x margin hands the next call one step fewer.  The check
 that the discarded values are at most the threshold is chained by Weyl's
 inequality: per slice, a bound on the previous call's values past its kept
 ones, plus how far the slice moved, plus twice the kept Ritz triplets'
@@ -68,7 +74,13 @@ def _ritz(f, eps, q, steps, chain):
     """Ritz triplets (u, s, vh) of the slices f on the block q if they pass
     svt's checks, else None; the power steps the next call starts with; and
     the per-slice tail bounds that passed, for the next call's chain.
-    Each failed residual check adds a step, up to POWER_STEPS."""
+    The attempt starts with `steps` power steps, then checks the Ritz
+    residual err after every further step, up to POWER_STEPS.  From the
+    second failed check on it gives up (None) when err, shrinking by the
+    observed err / prev_err (at most 1) per remaining check, would still
+    end above RITZ_TOL.  A check that passes with err <= RITZ_TOL / 10
+    hands the next call one step fewer, else the steps it took."""
+    prev = np.inf
     for step in range(POWER_STEPS + 1):
         b = f @ q
         if step < steps:
@@ -84,10 +96,15 @@ def _ritz(f, eps, q, steps, chain):
         miss = np.linalg.norm(g - _ct(vh) * s[:, None], axis=1)
         err = np.divide(miss, s[:, :1], out=np.zeros_like(s), where=kept).max()
         if err <= RITZ_TOL:
+            if err <= RITZ_TOL / 10:
+                step = max(step - 1, 0)
             tail = _chained_tail(f, eps, kept, miss, chain)
             if tail is None:
                 tail = _power_tail(f, ub, np.where(kept, s, 0), vh, r)
             return ((ub, s, vh), step, tail) if tail.max() <= eps else (None, step, None)
+        if err * min(err / prev, 1.0) ** (POWER_STEPS - step) > RITZ_TOL:
+            break
+        prev = err
         q = np.linalg.qr(g * s[:, None])[0]
     return None, steps, None
 

@@ -87,8 +87,8 @@ def test_warm_svt_matches_full_svd_on_a_constrained_run(monkeypatch):
     # chain forced to resync, by a bound at eps (no room for the Ritz
     # residual) or by a count one above what a slice keeps
     truth, observed, omega = desk_instance()
-    calls, verdicts = [], []
-    chained = tnn_admm._chained_tail
+    calls, verdicts, handed = [], [], []
+    chained, ritz = tnn_admm._chained_tail, tnn_admm._ritz
 
     def recorded(t, eps, *, basis=None):
         calls.append((t, eps, basis))
@@ -99,9 +99,17 @@ def test_warm_svt_matches_full_svd_on_a_constrained_run(monkeypatch):
         verdicts.append(out is not None)
         return out
 
+    def spied_ritz(*args):
+        out = ritz(*args)
+        if out[0] is not None:
+            handed.append(out[1])
+        return out
+
     monkeypatch.setattr(tnn_admm, "svt", recorded)
     monkeypatch.setattr(tnn_admm, "_chained_tail", spied)
+    monkeypatch.setattr(tnn_admm, "_ritz", spied_ritz)
     admm_complete(observed, omega, ground_truth=truth)
+    assert min(handed) < tnn_admm.POWER_STEPS  # the step count falls within a run
     thresholds = [eps for _, eps, _ in calls]
     assert all(b < a for a, b in zip(thresholds, thresholds[1:]))
     assert sum(b is not None for _, _, b in calls) == len(calls) - 1  # all but the first warm
@@ -151,6 +159,39 @@ def test_warm_svt_falls_back_when_kept_rank_outgrows_block():
     full, _ = svt(t, 1.0)
     assert np.array_equal(z, full)
     assert wider[0].shape[2] == 3 + tnn_admm.OVERSAMPLE
+
+
+def test_warm_svt_gives_up_an_attempt_that_cannot_pass(monkeypatch):
+    # past the kept 10, 8 and 1.2 of a 7-column block the next value is 0.99,
+    # so each power step shrinks the residual by about (0.99 / 1.2)^2 = 0.68,
+    # too slowly to reach RITZ_TOL within POWER_STEPS: the attempt gives up
+    # at its second Ritz check instead of running all seven
+    t = spectrum_tensor([10.0, 8.0, 1.2] + [0.99] * 9)
+    _, (q, _, chain) = svt(spectrum_tensor([10.0, 8.0, 6.0] + [0.5] * 9, seed=9), 1.0)
+    checks = []
+    svd = np.linalg.svd
+
+    def spied(a, *args, **kwargs):
+        checks.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spied)
+    assert tnn_admm._ritz(freq_slices(t), 1.0, q, 0, chain)[0] is None
+    assert 1 <= len(checks) <= 2
+    monkeypatch.undo()
+    z, _ = svt(t, 1.0, basis=(q, 0, chain))
+    full, _ = svt(t, 1.0)
+    assert np.array_equal(z, full)
+
+
+def test_warm_svt_hands_on_fewer_steps_after_a_pass_with_margin():
+    # its own basis spans the kept values at once, so POWER_STEPS steps pass
+    # far inside RITZ_TOL and the next call is offered one step fewer
+    t = spectrum_tensor([10.0, 8.0, 6.0] + [0.1] * 9)
+    _, (q, _, chain) = svt(t, 1.0)
+    ritz, steps, _ = tnn_admm._ritz(freq_slices(t), 1.0, q, tnn_admm.POWER_STEPS, chain)
+    assert ritz is not None
+    assert steps < tnn_admm.POWER_STEPS
 
 
 def test_warm_svt_falls_back_when_the_tail_bound_exceeds_eps():
