@@ -45,8 +45,10 @@ CASES = {
     # wide slices; AltMin does not recover here and a rounding change grows
     # about 10x per iteration, so its runs are capped
     "low-p": ((20, 40, 5), 3, 0.1, sampling.RngSeed(0, "golden/low-p"), 4, 4),
-    # the altmin-desk instance (perfbench seed 1) whose slice Grams reach the
-    # largest condition number that scripts/gram_conditioning.py reports
+    # the altmin-desk instance (perfbench seed 1) whose slice Grams reached
+    # the largest condition number, 37, that scripts/gram_conditioning.py
+    # reported from a random orthonormal start; from the spectral start they
+    # reach 6.0, and no instance of that seed passes 9.3
     "ill-conditioned": (
         (50, 50, 10), 3, 0.5, sampling.RngSeed(1, "perfbench/altmin-desk/5"), 15, 4
     ),

@@ -1,12 +1,12 @@
 """Alternating-minimization completion solver and its supporting pieces.
 
 `tubal_alt_min` runs one loop for both variants, which differ only in:
-  * "simplified" - random orthonormal start, plain tensor least squares on
-    all of Omega every round, no re-orthonormalization;
-  * "full" - spectral initialization with tube truncation on a split-off
-    half of Omega, median-of-splits least squares on a fresh part of the
-    other half every round, and coherence-controlled re-orthonormalization
-    (smooth QR) after each half-step.
+  * "simplified" - spectral start on all of Omega, plain tensor least
+    squares on all of Omega every round, no re-orthonormalization;
+  * "full" - spectral start on a split-off half of Omega, median-of-splits
+    least squares on a fresh part of the other half every round, and
+    coherence-controlled re-orthonormalization (smooth QR) after each
+    half-step.
 """
 
 import math
@@ -41,6 +41,9 @@ STALL_TOL = 1e-12  # a stall: the error moved less over `stall_window` steps
 # is at most rows/r, so smooth QR perturbs no factor with fewer than 1e6*r rows.
 SMOOTH_QR_EPS = 0.01
 COHERENCE_BUDGET = 1e6
+# initialize's range finder: extra test columns beyond r, and power steps
+RANGE_OVERSAMPLE = 4
+RANGE_STEPS = 2
 
 
 def check_counts(**counts):
@@ -125,16 +128,6 @@ def qr_tensor(y):
     return from_freq_slices(qf * phase, y.shape[2])
 
 
-def truncate_tubes(z, cap):
-    """Rescale every tube with Frobenius norm above `cap` down to `cap`."""
-    z = _check3(z)
-    norms = np.linalg.norm(z, axis=2)
-    scale = np.ones_like(norms)
-    over = norms > cap
-    scale[over] = cap / norms[over]
-    return z * scale[:, :, None]
-
-
 def top_r_eigenslices(t, r):
     """First r lateral slices of the left t-SVD factor (orthonormal).
 
@@ -152,20 +145,23 @@ def top_r_eigenslices(t, r):
 
 
 def initialize(observed, omega, r, seed):
-    """Spectral starting point: top-r eigenslices of the rescaled observed
-    tensor, spread by a random orthonormal mixer, tube-truncated to the
-    coherence budget, then re-orthonormalized.  Entries of `observed`
-    outside omega are ignored."""
+    """Spectral starting point: the top-r eigenslices of the observed
+    tensor, by a randomized range finder (Halko, Martinsson & Tropp 2011).
+    One Gaussian test matrix of r + RANGE_OVERSAMPLE columns, shared by all
+    frequency slices, then RANGE_STEPS power steps; the exact top r
+    eigenslices of the observed tensor projected on that range, lifted back.
+    The result is orthonormal.  Entries of `observed` outside omega are
+    ignored."""
     observed = check_observed(observed, omega)
-    m, n, k = observed.shape
-    p_hat = omega.size / (m * n * k)
-    basis = top_r_eigenslices(observed / p_hat, r)
-    rng = seed.derive("init").rng()
-    mixer = qr_tensor(rng.standard_normal((r, r, k)))
-    z = tprod(basis, mixer)
-    cap = math.sqrt(8 * COHERENCE_BUDGET * math.log(m) / m) if m > 1 else math.inf
-    z = truncate_tubes(z, cap)
-    return qr_tensor(z)
+    n, k = observed.shape[1:]
+    f = freq_slices(observed)
+    fh = f.conj().swapaxes(1, 2)
+    test = seed.derive("init").rng().standard_normal((n, min(r + RANGE_OVERSAMPLE, n)))
+    basis = np.linalg.qr(f @ test)[0]
+    for _ in range(RANGE_STEPS):
+        basis = np.linalg.qr(f @ (fh @ basis))[0]
+    small = from_freq_slices(basis.conj().swapaxes(1, 2) @ f, k)
+    return from_freq_slices(basis @ freq_slices(top_r_eigenslices(small, r)), k)
 
 
 def smooth_qr(y, seed):
@@ -194,8 +190,8 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
     One loop serves both variants: per part of the samples, solve for Y,
     re-orthonormalize it, solve for X, record the error of x_raw * y^T,
     re-orthonormalize X, then check `cfg.stop_rse` and the stall rule.
-    The variant picks, before the loop, the start (random orthonormal X, or
-    `initialize` on half of Omega), the parts (Omega every round, or
+    The variant picks, before the loop, the start (`initialize` on all of
+    Omega, or on half of Omega), the parts (Omega every round, or
     disjoint parts of the other half), the half-steps (`ls_solve_y`/`_x`,
     or `median_ls`/`median_ls_x`) and the re-orthonormalization (none, or
     `smooth_qr`).
@@ -208,7 +204,7 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
     start = time.perf_counter()
 
     if cfg.variant == "simplified":
-        x = qr_tensor(cfg.seed.derive("x0").rng().standard_normal((m, r, k)))
+        x = initialize(observed, omega, r, cfg.seed)
         parts = [omega] * cfg.iterations
         # Omega is the same in every half-step: one least-squares plan each
         y_plan, x_plan = (_Plan(observed, omega, r * k, up) for up in (True, False))

@@ -82,7 +82,7 @@ def check_observed(observed, omega):
     observed = project(observed, omega)
     if omega.size == 0:
         raise InsufficientSamples("empty sample set")
-    if not np.all(np.isfinite(observed[omega.mask])):
+    if not np.isfinite(observed).all():  # zero, so finite, outside omega
         raise InvalidEntries("observed tensor is not finite inside the sample set")
     return observed
 

@@ -1,11 +1,11 @@
 """Reference code that tests compare against and that no solve runs.
 
 The t-inverse, the circular-matrix image of a tensor, the full t-SVD,
-tubal-rank detection, best rank-r truncation, the sample-set writer and the
-noisy power-method harness of the convergence analysis are oracles: tests
-check the package against them, but no solver, CLI path, script or
-benchmark workload calls them.  Tests import
-this file as `from oracles import ...`; pytest puts `tests/` on `sys.path`.
+tubal-rank detection, best rank-r truncation, the paper's tube truncation,
+the sample-set writer and the noisy power-method harness of the convergence
+analysis are oracles: tests check the package against them, but no solver,
+CLI path, script or benchmark workload calls them.  Tests import this file
+as `from oracles import ...`; pytest puts `tests/` on `sys.path`.
 """
 
 from dataclasses import dataclass
@@ -132,6 +132,18 @@ def truncate_rank(t, r):
     f = tsvd(t)
     core = tprod(f.theta[:r, :r, :], ttranspose(f.v[:, :r, :]))
     return tprod(f.u[:, :r, :], core)
+
+
+def truncate_tubes(z, cap):
+    """Rescale every tube with Frobenius norm above `cap` down to `cap`: the
+    paper's initialization caps tubes at sqrt(8 * mu0 * ln m / m), which
+    stays above 1 below 10^6 rows at the budget mu0 = 1e6."""
+    z = _check3(z)
+    norms = np.linalg.norm(z, axis=2)
+    scale = np.ones_like(norms)
+    over = norms > cap
+    scale[over] = cap / norms[over]
+    return z * scale[:, :, None]
 
 
 def noisy_subspace_iteration(t, x0, iterations, noise_gen=None, seed=None):

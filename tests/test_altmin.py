@@ -10,7 +10,7 @@ from tubalkit.algebra import (
     tprod,
     ttranspose,
 )
-from tubalkit import altmin
+from tubalkit import altmin, harness
 from tubalkit.altmin import (
     SolverConfig,
     fit_line,
@@ -20,7 +20,6 @@ from tubalkit.altmin import (
     smooth_qr,
     top_r_eigenslices,
     trace_error,
-    truncate_tubes,
     tubal_alt_min,
 )
 from tubalkit.errors import (
@@ -37,7 +36,14 @@ from tubalkit.sampling import (
     sample_bernoulli,
     synth_low_tubal_rank,
 )
-from oracles import frobenius_norm, full_set, noisy_subspace_iteration, tsvd
+from tubalkit.tls import ls_solve_y
+from oracles import (
+    frobenius_norm,
+    full_set,
+    noisy_subspace_iteration,
+    truncate_tubes,
+    tsvd,
+)
 
 
 def subspace_angle(u, x):
@@ -130,12 +136,17 @@ def test_truncate_tubes():
 
 
 def test_initialize_full_observation():
+    # exactly rank 3 and fully observed: the range finder's 7 columns hold
+    # the whole range, so the start spans the truth's to rounding
     t, _ = synth_low_tubal_rank(20, 20, 4, 3, RngSeed(6, "init"))
     omega = full_set(20, 20, 4)
     x0 = initialize(t, omega, 3, RngSeed(6, "init-seed"))
-    assert orthonormality_error(x0) < 1e-7
+    assert orthonormality_error(x0) < 1e-10
     u = tsvd(t).u[:, :3, :]
-    assert subspace_angle(u, x0) < 1e-6
+    assert subspace_angle(u, x0) < 1e-10
+    # an orthonormal factor's tubes have norm at most 1, below the paper's
+    # tube cap at fewer than 10^6 rows
+    assert np.array_equal(truncate_tubes(x0, 1 + 1e-12), x0)
 
 
 def test_initialize_empty_set():
@@ -174,6 +185,40 @@ def test_initialize_partial_observation_angle():
         if subspace_angle(u, x0) <= 0.5:
             hits += 1
     assert hits >= 2
+
+
+def test_simplified_variant_starts_from_initialize_on_all_of_omega(monkeypatch):
+    t, _ = synth_low_tubal_rank(15, 12, 4, 2, RngSeed(20, "start"))
+    omega = sample_bernoulli(15, 12, 4, 0.6, RngSeed(20, "start-mask"))
+    cfg = SolverConfig(target_rank=2, iterations=2, seed=RngSeed(20, "start-run"))
+    starts, first_x = [], []
+
+    def spy_initialize(*args):
+        starts.append((args, initialize(*args)))
+        return starts[-1][1]
+
+    def spy_ls_solve_y(observed, part, x, plan):
+        first_x.append(x)
+        return ls_solve_y(observed, part, x, plan=plan)
+
+    monkeypatch.setattr(altmin, "initialize", spy_initialize)
+    monkeypatch.setattr(altmin, "ls_solve_y", spy_ls_solve_y)
+    tubal_alt_min(project(t, omega), omega, cfg)
+    [((observed, start_set, r, seed), x0)] = starts
+    assert np.array_equal(observed, project(t, omega))
+    assert start_set is omega and r == 2 and seed is cfg.seed
+    assert first_x[0] is x0
+
+
+def test_simplified_variant_recovers_at_p_0_15():
+    # the spectral start moves the desk instance's recovery threshold below
+    # p = 0.15; from a random orthonormal start this solve ended at RSE 2.2
+    spec = harness.ExperimentSpec(rates=[0.15], iterations=40)
+    truth, observed, omega, base = harness._instance(spec, 0.15, 0)
+    report = harness.run_algorithm(
+        spec, "altmin-simple", observed, omega, truth, base.derive("altmin-simple")
+    )
+    assert report.rse[-1] <= 0.05
 
 
 def test_smooth_qr_low_coherence_no_perturbation(monkeypatch):

@@ -886,7 +886,7 @@ def test_pinv_apply_drops_eigenvalues_at_singular_tol(delta, kept):
 @pytest.mark.parametrize("t", [None, 3])
 def test_full_variant_trace_matches_dense_mask_oracle(monkeypatch, t):
     # at the default subset count the median is the zero tensor from the
-    # second step on (ROADMAP item 4); with 3 subsets the estimate is not
+    # second step on (ROADMAP item 3); with 3 subsets the estimate is not
     truth, _ = synth_low_tubal_rank(30, 20, 6, 3, RngSeed(40, "trace"))
     omega = sample_bernoulli(30, 20, 6, 0.8, RngSeed(40, "trace-mask"))
     observed = project(truth, omega)
