@@ -1,12 +1,11 @@
 """Alternating-minimization completion solver and its supporting pieces.
 
-`tubal_alt_min` runs one loop for both variants, which differ only in:
-  * "simplified" - spectral start on all of Omega, plain tensor least
-    squares on all of Omega every round, no re-orthonormalization;
-  * "full" - spectral start on a split-off half of Omega, median-of-splits
-    least squares on a fresh part of the other half every round, and
-    coherence-controlled re-orthonormalization (smooth QR) after each
-    half-step.
+`tubal_alt_min` runs one loop; each round calls its variant's half-steps:
+  * "simplified" - spectral start on all of Omega, then tensor least squares
+    on all of Omega (`ls_solve_y`/`ls_solve_x` through two plans built once);
+  * "full" - spectral start on a split-off half of Omega, then `median_ls`/
+    `median_ls_x` on a fresh part of the other half every round, each
+    followed by coherence-controlled re-orthonormalization (`smooth_qr`).
 """
 
 import math
@@ -188,13 +187,13 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
     """Run the configured solver variant and return its SolveReport.
 
     One loop serves both variants: per part of the samples, solve for Y,
-    re-orthonormalize it, solve for X, record the error of x_raw * y^T,
-    re-orthonormalize X, then check `cfg.stop_rse` and the stall rule.
-    The variant picks, before the loop, the start (`initialize` on all of
-    Omega, or on half of Omega), the parts (Omega every round, or
-    disjoint parts of the other half), the half-steps (`ls_solve_y`/`_x`,
-    or `median_ls`/`median_ls_x`) and the re-orthonormalization (none, or
-    `smooth_qr`).
+    solve for X, record the error of x_raw * y^T, then check `cfg.stop_rse`
+    and the stall rule.  Before the loop the variant picks its start
+    (`initialize` on all of Omega, or on half of it) and its parts (Omega
+    every round, or disjoint parts of the other half).  A simplified round
+    calls `ls_solve_y`/`ls_solve_x` with two plans built once; a full round
+    calls `median_ls`/`median_ls_x` on the round's seed streams, each
+    followed by `smooth_qr`, X's after the error is recorded.
     """
     observed = check_observed(observed, omega)
     m, n, k = observed.shape
@@ -203,48 +202,34 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
         raise RankOutOfRange(f"rank {r} outside [1, {min(m, n)}]")
     start = time.perf_counter()
 
-    if cfg.variant == "simplified":
-        x = initialize(observed, omega, r, cfg.seed)
-        parts = [omega] * cfg.iterations
-        # Omega is the same in every half-step: one least-squares plan each
-        y_plan, x_plan = (_Plan(observed, omega, r * k, up) for up in (True, False))
-
-        def solve_y(part, x, seed):
-            return ls_solve_y(observed, part, x, plan=y_plan)
-
-        def solve_x(part, y, seed):
-            return ls_solve_x(observed, part, y, plan=x_plan)
-
-        def reorth(z, seed):
-            return z
-
-    else:
+    full = cfg.variant == "full"
+    if full:
         omega0, omega_plus = split(omega, 2, cfg.seed.derive("split-init"))
         parts = split(omega_plus, cfg.iterations, cfg.seed.derive("split-iters"))
         if omega0.size == 0 or any(part.size == 0 for part in parts):
             raise InsufficientSamples("a split subset is empty")
         x = initialize(observed, omega0, r, cfg.seed)
-
-        def solve_y(part, x, seed):
-            return median_ls(observed, part, x, seed)
-
-        def solve_x(part, y, seed):
-            return median_ls_x(observed, part, y, seed)
-
-        def reorth(z, seed):
-            return smooth_qr(z, seed)
+    else:
+        x = initialize(observed, omega, r, cfg.seed)
+        parts = [omega] * cfg.iterations
+        # Omega is the same in every half-step: one least-squares plan each
+        y_plan, x_plan = (_Plan(observed, omega, r * k, up) for up in (True, False))
 
     rse_trace = []
     seconds = []
     for step, part in enumerate(parts):
-        seed = cfg.seed.derive(f"iter{step}")
-        y = reorth(solve_y(part, x, seed.derive("y")), seed.derive("qy"))
-        x_raw = solve_x(part, y, seed.derive("x"))
+        if full:
+            seed = cfg.seed.derive(f"iter{step}")
+            y = smooth_qr(median_ls(observed, part, x, seed.derive("y")), seed.derive("qy"))
+            x_raw = median_ls_x(observed, part, y, seed.derive("x"))
+        else:
+            y = ls_solve_y(observed, part, x, plan=y_plan)
+            x_raw = ls_solve_x(observed, part, y, plan=x_plan)
         estimate = tprod(x_raw, ttranspose(y))
         value = trace_error(estimate, observed, omega, ground_truth)
         rse_trace.append(value)
         seconds.append(time.perf_counter() - start)
-        x = reorth(x_raw, seed.derive("qx"))
+        x = smooth_qr(x_raw, seed.derive("qx")) if full else x_raw
         if cfg.stop_rse is not None and value <= cfg.stop_rse:
             break
         window = cfg.stall_window

@@ -24,7 +24,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .algebra import _check3, freq_slices, from_freq_slices
+from .algebra import _check3, freq_slices, freq_weights, from_freq_slices
 from .errors import DimensionMismatch
 # project and split are not called here: perfbench hooks them by these names
 from .sampling import project, split, split_labels  # noqa: F401
@@ -95,8 +95,7 @@ class _Spectral:
         # imaginary parts at frequency w; inverse.T maps them back, with 1/k
         angle = 2 * np.pi / k * (np.outer(np.arange(kh), np.arange(k)) % k)
         self.forward = np.stack([np.cos(angle), -np.sin(angle)], 1).reshape(2 * kh, k)
-        twice = (np.arange(kh) > 0) & (2 * np.arange(kh) < k)  # w stands for k - w too
-        self.inverse = self.forward * np.repeat((1 + twice) / k, 2)[:, None]
+        self.inverse = self.forward * np.repeat(freq_weights(k)[:kh] / k, 2)[:, None]
         self.pairs = np.triu_indices(q // k)
         width = len(self.pairs[0]) * k
         # conjugate half spectra (kh, systems, others) of the masks and of P_Omega T

@@ -10,7 +10,7 @@ from tubalkit.algebra import (
     tprod,
     ttranspose,
 )
-from tubalkit import altmin, harness
+from tubalkit import altmin, harness, tls
 from tubalkit.altmin import (
     SolverConfig,
     fit_line,
@@ -36,7 +36,7 @@ from tubalkit.sampling import (
     sample_bernoulli,
     synth_low_tubal_rank,
 )
-from tubalkit.tls import ls_solve_y
+from tubalkit.tls import ls_solve_x, ls_solve_y
 from oracles import (
     frobenius_norm,
     full_set,
@@ -208,6 +208,41 @@ def test_simplified_variant_starts_from_initialize_on_all_of_omega(monkeypatch):
     assert np.array_equal(observed, project(t, omega))
     assert start_set is omega and r == 2 and seed is cfg.seed
     assert first_x[0] is x0
+
+
+def test_simplified_variant_builds_two_plans_and_reuses_them(monkeypatch):
+    # a plan rebuilt every round gives the same estimate, so no golden sees it
+    t, _ = synth_low_tubal_rank(15, 12, 4, 2, RngSeed(21, "plans"))
+    omega = sample_bernoulli(15, 12, 4, 0.7, RngSeed(21, "plans-mask"))
+    observed = project(t, omega)
+    plans, used = [], {"y": [], "x": []}
+
+    def spy_plan(*args):
+        plans.append(tls._Plan(*args))
+        return plans[-1]
+
+    def spy_solve(half, solve):
+        def spied(observed, part, factor, plan):
+            used[half].append(plan)
+            return solve(observed, part, factor, plan=plan)
+
+        return spied
+
+    monkeypatch.setattr(altmin, "_Plan", spy_plan)
+    monkeypatch.setattr(altmin, "ls_solve_y", spy_solve("y", ls_solve_y))
+    monkeypatch.setattr(altmin, "ls_solve_x", spy_solve("x", ls_solve_x))
+    cfg = SolverConfig(target_rank=2, iterations=4, seed=RngSeed(21, "plans-run"))
+    report = tubal_alt_min(observed, omega, cfg)
+    assert len(report.rse) == 4
+    y_plan, x_plan = plans
+    assert y_plan.y_update and not x_plan.y_update
+    assert all(plan is y_plan for plan in used["y"]) and len(used["y"]) == 4
+    assert all(plan is x_plan for plan in used["x"]) and len(used["x"]) == 4
+    full = SolverConfig(
+        target_rank=2, iterations=2, variant="full", seed=RngSeed(21, "plans-full")
+    )
+    tubal_alt_min(observed, omega, full)
+    assert len(plans) == 2
 
 
 def test_simplified_variant_recovers_at_p_0_15():
