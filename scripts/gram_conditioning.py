@@ -2,13 +2,11 @@
 
 Solves every instance of the `altmin-desk` and `altmin-tall-k` benchmark
 workloads (perfbench/workloads.py) at one seed and records, for every
-half-step, the 2-norm condition number of each slice's Gram matrix
-C^T diag(mask_j) C, where C is the known factor's circulant rows.  An X
-half-step is the Y half-step of the t-transposed problem, so its masks
-are the lateral slices of the t-transposed sample set.  The
-solver forms normal equations, so its relative error is about machine
-epsilon times this number, where an orthogonal factorization would lose
-only its square root.
+half-step, the 2-norm condition number of each slice's Gram as the solver
+forms it: the tall slices' normal equations (at least r*k observed rows),
+which on these workloads is every slice.  The solver's relative error is
+about machine epsilon times this number, where an orthogonal
+factorization would lose only its square root.
 
     python3 scripts/gram_conditioning.py --seed 1
 """
@@ -23,17 +21,14 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from tubalkit import altmin, tls  # noqa: E402
-from tubalkit.algebra import ttranspose  # noqa: E402
+from tubalkit import altmin  # noqa: E402
 
 
-def gram_conditions(mask, factor):
-    """Condition number of every lateral slice's Gram in the solve of
-    T ~ factor * Z^dag for Z, observed on the boolean grid `mask`."""
-    rows = tls.circulant_rows(factor)
-    slices = np.swapaxes(mask, 0, 1).reshape(mask.shape[1], -1)  # rows (i, kappa)
-    grams = np.stack([rows[keep].T @ rows[keep] for keep in slices])
-    return np.linalg.cond(grams)
+def gram_conditions(plan, factor):
+    """Condition number of each tall slice's Gram that a half-step through
+    `plan` forms from the known `factor`; empty if no slice is tall."""
+    blocks = plan.spectral.grams(factor) if plan.spectral else ()
+    return np.concatenate([np.linalg.cond(gram) for _, gram, _ in blocks] or [np.empty(0)])
 
 
 def main(argv=None):
@@ -43,13 +38,13 @@ def main(argv=None):
     conds = {"y": [], "x": []}
     solve_y, solve_x = altmin.ls_solve_y, altmin.ls_solve_x
 
-    def traced_y(observed, omega, x, **kwargs):
-        conds["y"].append(gram_conditions(omega.mask, x))
-        return solve_y(observed, omega, x, **kwargs)
+    def traced_y(observed, omega, x, *, plan):
+        conds["y"].append(gram_conditions(plan, x))
+        return solve_y(observed, omega, x, plan=plan)
 
-    def traced_x(observed, omega, y, **kwargs):
-        conds["x"].append(gram_conditions(ttranspose(omega.mask), y))
-        return solve_x(observed, omega, y, **kwargs)
+    def traced_x(observed, omega, y, *, plan):
+        conds["x"].append(gram_conditions(plan, y))
+        return solve_x(observed, omega, y, plan=plan)
 
     altmin.ls_solve_y, altmin.ls_solve_x = traced_y, traced_x
     try:

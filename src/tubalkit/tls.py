@@ -24,7 +24,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .algebra import _check3, freq_slices, freq_weights, from_freq_slices
+from .algebra import _check3, freq_slices, freq_weights, from_freq_slices, ttranspose
 from .errors import DimensionMismatch
 # project and split are not called here: perfbench hooks them by these names
 from .sampling import project, split, split_labels  # noqa: F401
@@ -72,7 +72,8 @@ def _pinv_apply(gram, rhs):
     return (v @ np.where(keep, coef, 0.0)[..., None])[..., 0]
 
 
-def _blocks(n, step):
+def _blocks(n, item_bytes):
+    step = max(1, BLOCK_BYTES // item_bytes)
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
@@ -102,9 +103,8 @@ class _Spectral:
         spec = freq_slices(mask * 1.0).conj()
         self.left = freq_slices(observed).conj()
         re, im = spec.real, spec.imag
-        step = max(1, BLOCK_BYTES // (8 * max(2 * kh * width, q * q)))
         self.blocks = [(systems[s], s, np.block([[re[:, s], -im[:, s]], [im[:, s], re[:, s]]]))
-                       for s in _blocks(len(systems), step)]
+                       for s in _blocks(len(systems), 8 * max(2 * kh * width, q * q))]
         # Gram entry (a, b) reads [pair(s, s'), (sigma' - sigma) mod k, sigma]
         # of (min(a, b), max(a, b)) = ((s, sigma), (s', sigma'))
         pair = np.zeros((q // k, q // k), dtype=np.intp)
@@ -123,7 +123,7 @@ class _Spectral:
         # the tubes twice over, so that shifted[u, i, pair, delta] = x[i, s', u + delta]
         shifted = sliding_window_view(np.concatenate([tubes[:, :, second]] * 2), k, 0)[:k]
         spectrum = np.empty((len(self.forward), p * width))
-        for rows in _blocks(p, max(1, BLOCK_BYTES // (8 * k * width))):
+        for rows in _blocks(p, 8 * k * width):
             # pair products [u, i, pair, delta] = x[i, s, u] * x[i, s', u + delta]
             pairs = shifted[:, rows] * tubes[:, rows][:, :, first, None]
             cols = slice(rows.start * width, rows.start * width + pairs[0].size)
@@ -159,10 +159,8 @@ class _Plan:
     def __init__(self, observed, omega, q, y_update, labels=None, t=1):
         if np.shape(observed) != omega.dims:
             raise DimensionMismatch(f"observed {np.shape(observed)} vs omega {omega.dims}")
-        # slices along axis 0, rows (i, kappa); ttranspose(T)[:, i] is T[i, :, -kappa mod k],
-        # copied by slices: a[:, :, index] would put the tube axis outermost in memory
-        layout = (lambda a: np.swapaxes(a, 0, 1)) if y_update else (
-            lambda a: np.concatenate((np.take(a, [0], 2), np.flip(a, 2)[:, :, :-1]), 2))
+        # slices along axis 0, rows (i, kappa): of T, or of T^dag as ttranspose's one copy
+        layout = lambda a: np.swapaxes(a if y_update else ttranspose(a), 0, 1)  # noqa: E731
         mask = layout(omega.mask)
         slices, size = len(mask), mask[0].size
         entry = np.flatnonzero(mask)
@@ -195,9 +193,8 @@ class _Plan:
         entry = np.where(fill, start[wide][:, None] + np.arange(fill.shape[1]), 0)
         index = np.where(fill, pos[entry], size)
         rhs = np.where(fill, values[entry], 0.0)
-        step = max(1, BLOCK_BYTES // (8 * index.shape[1] * q))
         self.wide = [(wide[s], index[s, : h[s][-1]], rhs[s, : h[s][-1]])
-                     for s in _blocks(len(wide), step)]
+                     for s in _blocks(len(wide), 8 * index.shape[1] * q)]
         # circulant rows, then the zero row
         self.rows = np.zeros((size + 1, q)) if len(wide) else None
 

@@ -177,6 +177,16 @@ def test_ttranspose_slice_layout():
         assert np.allclose(out[:, :, kappa], t[:, :, 5 - kappa].T)
 
 
+def test_ttranspose_is_a_view_of_one_tube_reversed_contiguous_copy():
+    # an X least-squares plan reads its slices from this copy, unsliced
+    rng = np.random.default_rng(9)
+    for k in (1, 2, 5):
+        t = rng.standard_normal((3, 4, k))
+        copy = np.swapaxes(ttranspose(t), 0, 1)
+        assert copy.flags.c_contiguous
+        assert np.array_equal(copy, t[:, :, -np.arange(k) % k])
+
+
 def test_identity_tensor_shape():
     one = identity_tensor(1, 1)
     assert one.shape == (1, 1, 1) and one[0, 0, 0] == 1.0

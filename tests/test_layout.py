@@ -6,7 +6,8 @@ in `tests/oracles.py`.
 
 A use is a name in the syntax tree outside the name's own definition: a
 variable, an attribute, an imported name, or a string constant equal to it
-(perfbench hooks functions by name).  A field must be both read and set.
+(perfbench hooks functions by name).  Only `tnn_admm.tnn` may rest on a
+string in `perfbench/tracing.py` alone.  A field must be both read and set.
 It is read where an attribute of that name is read or a string constant
 equals it; a keyword argument that sets it is not a read.  It is set where
 it is passed by keyword, or by position to a call of its class, stored as
@@ -118,10 +119,10 @@ def _shipped_uses():
     return uses
 
 
-def _unused(definitions, kinds):
+def _unused(definitions, kinds, uses=None):
     """Labels, module.label, of the `definitions` that shipped code never
-    uses by one of the `kinds` of use."""
-    uses = _shipped_uses()
+    uses by one of the `kinds` of use; `uses` defaults to `_shipped_uses()`."""
+    uses = uses or _shipped_uses()
     unused = []
     for module in sorted(PACKAGE.glob("*.py")):
         for label, name, first, last in definitions(ast.parse(module.read_text())):
@@ -140,6 +141,16 @@ def _unused(definitions, kinds):
 def test_every_public_name_in_src_is_used_outside_tests():
     unused = _unused(_public_definitions, {"name", "read", "store", "string"})
     assert not unused, f"only tests use {unused}; move them to tests/oracles.py"
+
+
+def test_only_tnn_is_used_by_a_perfbench_hook_string_alone():
+    # perfbench/tracing.py's HOOKS name the functions it wraps; no other
+    # name may ship on that alone.  Deleting tnn's entry is ROADMAP item 10.
+    uses = _shipped_uses()
+    tracing = ROOT / "perfbench" / "tracing.py"
+    uses[tracing] = [use for use in uses[tracing] if use[2] != "string"]
+    unused = _unused(_public_definitions, {"name", "read", "store", "string"}, uses)
+    assert unused == ["tnn_admm.tnn"]
 
 
 def test_every_dataclass_field_in_src_is_read_by_shipped_code():

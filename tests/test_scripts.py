@@ -1,7 +1,8 @@
-"""scripts/gram_conditioning.py rebuilds the solver's slice Grams from
-tls.circulant_rows.  Running it on a tiny instance in the fast suite keeps
-it from drifting away from the solver unnoticed.  scripts/golden.py's merge
-of stored and fresh goldens is checked on hand-made runs."""
+"""scripts/gram_conditioning.py reads the slice Grams a least-squares plan
+forms; on a tiny instance they are checked against Grams gathered from
+tls.circulant_rows, and the script runs end to end in the fast suite.
+scripts/golden.py's merge of stored and fresh goldens is checked on
+hand-made runs."""
 
 import dataclasses
 import importlib.util
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tubalkit.algebra import ttranspose
-from tubalkit.sampling import RngSeed, sample_bernoulli
+from tubalkit import tls
+from tubalkit.sampling import RngSeed, SampleSet, project, sample_bernoulli
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -28,14 +29,28 @@ def test_gram_conditioning_on_a_tiny_instance(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     script = load_script()
     rng = np.random.default_rng(44)
-    omega = sample_bernoulli(6, 5, 3, 0.8, RngSeed(44, "conditioning"))
-    x = rng.standard_normal((6, 2, 3))
-    y = rng.standard_normal((5, 2, 3))
-    # the X half-step's slices are the t-transposed sample set's lateral slices
-    for mask, factor, slices in ((omega.mask, x, 5), (ttranspose(omega.mask), y, 6)):
-        conds = script.gram_conditions(mask, factor)
-        assert conds.shape == (slices,)
-        assert np.all(np.isfinite(conds)) and np.all(conds >= 1)
+    m, n, k, r = 6, 5, 3, 2
+    omega = sample_bernoulli(m, n, k, 0.8, RngSeed(44, "conditioning"))
+    observed = project(rng.standard_normal((m, n, k)), omega)
+    x = rng.standard_normal((m, r, k))
+    y = rng.standard_normal((n, r, k))
+    # the X half-step's slice i observes row (j, kappa) where T[i, j, -kappa mod k] is
+    masks = {True: np.swapaxes(omega.mask, 0, 1).reshape(n, -1),
+             False: omega.mask[:, :, -np.arange(k) % k].reshape(m, -1)}
+    for y_update, factor in ((True, x), (False, y)):
+        rows = tls.circulant_rows(factor)
+        tall = [keep for keep in masks[y_update] if keep.sum() >= r * k]
+        assert len(tall) >= 3
+        expected = np.linalg.cond(np.stack([rows[keep].T @ rows[keep] for keep in tall]))
+        conds = script.gram_conditions(tls._Plan(observed, omega, r * k, y_update), factor)
+        assert conds.shape == expected.shape
+        assert np.allclose(conds, expected, rtol=1e-10, atol=0)
+    # one observed row per slice: no slice is tall
+    mask = np.zeros((m, n, k), dtype=bool)
+    mask[0, :, 0] = True
+    sparse = SampleSet(mask)
+    plan = tls._Plan(project(observed, sparse), sparse, r * k, True)
+    assert script.gram_conditions(plan, x).shape == (0,)
 
 
 def test_gram_conditioning_main_runs_end_to_end(monkeypatch, capsys):

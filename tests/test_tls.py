@@ -18,6 +18,7 @@ from tubalkit.sampling import (
 )
 from tubalkit.tls import (
     BLOCK_BYTES,
+    _blocks,
     _Plan,
     _pinv_apply,
     _pivot_singular,
@@ -630,6 +631,12 @@ def test_dimension_mismatch_errors():
         ls_solve_y(project(t, o2), o2, x, plan=plan)
     with pytest.raises(DimensionMismatch):
         ls_solve_y(2 * observed, o1, x, plan=plan)
+
+
+def test_blocks_hold_block_bytes_and_at_least_one_item():
+    assert _blocks(0, 8) == []
+    assert _blocks(5, BLOCK_BYTES // 2) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+    assert _blocks(3, BLOCK_BYTES + 1) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 def dense_solve_tall(rows, masks, values, count, sol):
