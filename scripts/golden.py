@@ -16,7 +16,8 @@ different BLAS thread counts.
 
 Without --write it prints each run's largest deviations and exits 1 when
 any run breaks the rule.  --write keeps each stored run that still matches,
-so a regeneration shows only the runs that moved.
+so a regeneration shows only the runs that moved, and prints a line for
+each stored run it replaces (with its deviation / tolerance), drops or adds.
 """
 
 import argparse
@@ -124,15 +125,17 @@ def main(argv=None):
     if os.path.exists(GOLDEN):
         with open(GOLDEN) as fh:
             golden = json.load(fh)
+    failures = compare(golden, fresh)
     if args.write:
         with open(GOLDEN, "w") as fh:
             json.dump(merged(golden, fresh), fh, indent=1, sort_keys=True)
             fh.write("\n")
+        for line in failures:
+            print(f"rewrote {line}")
         return 0
     for key in sorted(golden.keys() & fresh.keys()):
         print(f"{key}: deviation / tolerance (trace, projections) = "
               f"{deviations(golden[key], fresh[key])}")
-    failures = compare(golden, fresh)
     for line in failures:
         print(f"FAIL {line}")
     return 1 if failures else 0

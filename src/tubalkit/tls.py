@@ -10,13 +10,13 @@ t-transposed problem T^dag ~ Y * X^dag, with y as the factor.
 
 Each slice system K z = b, with h observed rows and q = r*k unknowns, is
 solved by its row count: z = 0 for h = 0; for 0 < h < q the minimum-norm
-z = K^T (K K^T)^+ b from the h x h row Gram, in padded, batched eigh calls;
+z = K^T (K K^T)^+ b from the h x h row Gram, batched by exact row count;
 for h >= q the q x q normal equations K^T K z = K^T b, batched, with the
 pseudo-inverse where a Cholesky pivot says the Gram is singular.  K K^T and
 K^T K have the same nonzero eigenvalues, so both apply one eigenvalue cut.
 
 The tall Grams K^T K and right-hand sides K^T b come from each system's
-mask spectrum (`_Spectral`); only the wide route reads rows of C.
+mask spectrum (`_Spectral`); the wide route reads its rows of C from x.
 """
 
 import math
@@ -34,21 +34,10 @@ from .sampling import project, split, split_labels  # noqa: F401
 # smallest eigenvalue is rounding noise.  The minimum-norm solution of a
 # singular Gram drops eigenvalues at most this fraction of its largest.
 SINGULAR_TOL = 1e-10
-# Each batched solve's Gram stack, or a wide block's stack of rows, stays this
+# Each batched solve's Gram stack, or a wide batch's stack of rows, stays this
 # small, and so do the spectral route's pair products and block GEMMs; the
 # median wrappers solve hundreds of slices per call.
 BLOCK_BYTES = 512 * 1024
-
-
-def circulant_rows(factor, out=None):
-    """(p*k, r*k) matrix whose row (i, kappa) and column (s, sigma) hold
-    factor[i, s, (kappa + sigma) mod k]; `out`, if given, is contiguous."""
-    p, r, k = factor.shape
-    shift = np.add.outer(np.arange(k), np.arange(k)) % k  # [kappa, sigma]
-    cols = (k * np.arange(r)[:, None] + shift[:, None]).reshape(k, r * k)
-    out = np.empty((p * k, r * k)) if out is None else out
-    np.take(factor.reshape(p, r * k), cols, 1, out.reshape(p, k, r * k), mode="clip")
-    return out
 
 
 def _pivot_singular(gram):
@@ -149,26 +138,28 @@ class _Spectral:
 class _Plan:
     """What depends on Omega and the observed values, for q = r*k unknowns
     of Y or, without `y_update`, of X: the np.flatnonzero list of entries in
-    (slice, row) layout, sorted by the `split_labels` grid `labels`, the wide
-    systems' blocks of padded row lists and the circulant-row buffer they
-    read, and the tall systems' `_Spectral`.  An X plan reads the slices of
-    T^dag.  System (subset, slice) observes the entries of its slice that
-    `labels` puts in its subset, or all of them without labels.  It serves
-    only the `observed` and `omega` objects it was built from."""
+    (slice, row) layout, sorted by the `split_labels` grid `labels`; batches
+    of wide systems of one row count h, each with the flat offset into the
+    factor of every entry of their rows of C and their observed values; and
+    the tall systems' `_Spectral`.  An X plan reads the slices of T^dag.
+    System (subset, slice) observes the entries of its slice that `labels`
+    puts in its subset, or all of them without labels.  It serves only the
+    `observed` and `omega` objects it was built from."""
 
     def __init__(self, observed, omega, q, y_update, labels=None, t=1):
         if np.shape(observed) != omega.dims:
             raise DimensionMismatch(f"observed {np.shape(observed)} vs omega {omega.dims}")
         # slices along axis 0, rows (i, kappa): of T, or of T^dag as ttranspose's one copy
         layout = lambda a: np.swapaxes(a if y_update else ttranspose(a), 0, 1)  # noqa: E731
-        mask = layout(omega.mask)
+        mask, grid = layout(omega.mask), layout(observed)
         slices, size = len(mask), mask[0].size
         entry = np.flatnonzero(mask)
         system, pos = np.divmod(entry, size)
-        values = layout(observed).take(entry)
+        values = grid.take(entry)
         if labels is not None:
             # the stable sort keeps each system's rows ascending
-            system += layout(labels).take(entry) * slices
+            labels = layout(labels)
+            system += labels.take(entry) * slices
             order = np.argsort(system, kind="stable")
             pos, values = pos[order], values[order]
         count = np.bincount(system, minlength=t * slices)
@@ -182,36 +173,34 @@ class _Plan:
             subset, j = np.divmod(tall, slices)
             own = mask[j]
             if labels is not None:
-                own &= layout(labels)[j] == subset[:, None, None]
-            self.spectral = _Spectral(own, np.where(own, layout(observed)[j], 0.0), tall, q)
-        # 0 < h < q: sorted by h; each block pads its row lists to its largest
-        # h with row `size`, a zero row whose zero eigenvalues the cut drops
+                own &= labels[j] == subset[:, None, None]
+            self.spectral = _Spectral(own, np.where(own, grid[j], 0.0), tall, q)
+        # 0 < h < q: batches of systems with h rows; row (i, kappa), column
+        # (s, sigma) of C is factor entry i*q + s*k + (kappa + sigma) mod k
+        k, a = omega.dims[2], np.arange(q)
+        cols = a - a % k + (a % k + np.arange(k)[:, None]) % k  # [kappa, (s, sigma)]
         wide = np.flatnonzero((count > 0) & (count < q))
-        wide = wide[np.argsort(count[wide])]
-        h = count[wide]
-        fill = np.arange(h.max(initial=1)) < h[:, None]
-        entry = np.where(fill, start[wide][:, None] + np.arange(fill.shape[1]), 0)
-        index = np.where(fill, pos[entry], size)
-        rhs = np.where(fill, values[entry], 0.0)
-        self.wide = [(wide[s], index[s, : h[s][-1]], rhs[s, : h[s][-1]])
-                     for s in _blocks(len(wide), 8 * index.shape[1] * q)]
-        # circulant rows, then the zero row
-        self.rows = np.zeros((size + 1, q)) if len(wide) else None
+        self.wide = []
+        # the row counts present: np.unique would import numpy.ma, +1.4 MiB peak RSS
+        for h in np.flatnonzero(np.bincount(count[wide])):
+            group = wide[count[wide] == h]
+            listed = start[group, None] + np.arange(h)  # into the sorted entry list
+            for s in _blocks(len(group), 8 * h * q):
+                i, kappa = np.divmod(pos[listed[s]], k)
+                self.wide.append((group[s], i[..., None] * q + cols[kappa], values[listed[s]]))
 
 
-def _solve(observed, omega, factor, y_update, plan=None, labels=None, t=1):
-    """Solutions (t, slices, r, k) of every system of `plan`, given `factor`."""
+def _solve(observed, omega, factor, y_update, plan=None):
+    """Solutions (t, slices, r, k) of every system of `plan` (unlabelled by default)."""
     factor = _check3(factor)
     p, r, k = factor.shape
     if omega.dims[2] != k:
         raise DimensionMismatch(f"{omega.dims} vs factor {factor.shape}")
-    plan = plan or _Plan(observed, omega, r * k, y_update, labels, t)
+    plan = plan or _Plan(observed, omega, r * k, y_update)
     if plan.observed is not observed or plan.omega is not omega:
         raise DimensionMismatch("the plan was built from another observed tensor or omega")
     if (plan.y_update, plan.size, plan.q) != (y_update, p * k, r * k):
         raise DimensionMismatch(f"{omega.dims} vs factor {factor.shape}, plan q={plan.q}")
-    if plan.rows is not None:
-        circulant_rows(factor, out=plan.rows[:-1])
     sol = np.zeros((math.prod(plan.shape), plan.q))
     # h >= q: batched normal equations
     for block, gram, rhs in plan.spectral.grams(factor) if plan.spectral else ():
@@ -221,8 +210,8 @@ def _solve(observed, omega, factor, y_update, plan=None, labels=None, t=1):
         if singular.any():
             sol[block[singular]] = _pinv_apply(gram[singular], rhs[singular])
     # 0 < h < q: the minimum-norm K^T (K K^T)^+ b from the h x h row Grams
-    for systems, index, rhs in plan.wide:
-        kept = plan.rows[index]
+    for systems, offsets, rhs in plan.wide:
+        kept = factor.take(offsets)
         coef = _pinv_apply(kept @ kept.transpose(0, 2, 1), rhs)
         sol[systems] = (coef[:, None, :] @ kept)[:, 0]
     return sol.reshape(plan.shape + factor.shape[1:])
@@ -246,8 +235,9 @@ def median_count(n):
 
 def _median(observed, omega, factor, seed, t, y_update):
     t = t if t is not None else median_count(omega.dims[1 if y_update else 0])
-    sols = _solve(observed, omega, factor, y_update, None, split_labels(omega, t, seed), t)
-    return np.median(sols, axis=0)
+    q = _check3(factor).shape[1] * omega.dims[2]  # _solve checks the factor's k
+    plan = _Plan(observed, omega, q, y_update, split_labels(omega, t, seed), t)
+    return np.median(_solve(observed, omega, factor, y_update, plan), axis=0)
 
 
 def median_ls(observed, omega, x, seed, t=None):

@@ -1,11 +1,12 @@
 """Reference code that tests compare against and that no solve runs.
 
-The t-inverse, the circular-matrix image of a tensor, the full t-SVD,
-tubal-rank detection, best rank-r truncation, the paper's tube truncation,
-the sample-set writer and the noisy power-method harness of the convergence
-analysis are oracles: tests check the package against them, but no solver,
-CLI path, script or benchmark workload calls them.  Tests import this file
-as `from oracles import ...`; pytest puts `tests/` on `sys.path`.
+The t-inverse, the circular-matrix image of a tensor, the circulant rows
+of a least-squares factor, the full t-SVD, tubal-rank detection, best
+rank-r truncation, the paper's tube truncation, the sample-set writer and
+the noisy power-method harness of the convergence analysis are oracles:
+tests check the package against them, but no solver, CLI path, script or
+benchmark workload calls them.  Tests import this file as
+`from oracles import ...`; pytest puts `tests/` on `sys.path`.
 """
 
 from dataclasses import dataclass
@@ -65,6 +66,16 @@ def circ_expand(t):
     idx = (np.arange(k)[:, None] - np.arange(k)[None, :]) % k
     blocks = t[:, :, idx]  # (m, n, k, k)
     return blocks.transpose(0, 2, 1, 3).reshape(m * k, n * k)
+
+
+def circulant_rows(factor):
+    """(p*k, r*k) matrix whose row (i, kappa) and column (s, sigma) hold
+    factor[i, s, (kappa + sigma) mod k]: the rows that the observed entries
+    of a least-squares slice system select."""
+    p, r, k = factor.shape
+    shift = np.add.outer(np.arange(k), np.arange(k)) % k  # [kappa, sigma]
+    cols = (k * np.arange(r)[:, None] + shift[:, None]).reshape(k, r * k)
+    return factor.reshape(p, r * k)[:, cols].reshape(p * k, r * k)
 
 
 def frobenius_norm(t):

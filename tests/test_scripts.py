@@ -1,11 +1,12 @@
 """scripts/gram_conditioning.py reads the slice Grams a least-squares plan
-forms; on a tiny instance they are checked against Grams gathered from
-tls.circulant_rows, and the script runs end to end in the fast suite.
-scripts/golden.py's merge of stored and fresh goldens is checked on
-hand-made runs."""
+forms; on a tiny instance they are checked against Grams gathered from the
+circulant rows of tests/oracles.py, and the script runs end to end in the
+fast suite.  scripts/golden.py's merge of stored and fresh goldens, and the
+lines its --write prints, are checked on hand-made runs."""
 
 import dataclasses
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -13,6 +14,8 @@ import numpy as np
 
 from tubalkit import tls
 from tubalkit.sampling import RngSeed, SampleSet, project, sample_bernoulli
+
+from oracles import circulant_rows
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -38,7 +41,7 @@ def test_gram_conditioning_on_a_tiny_instance(monkeypatch):
     masks = {True: np.swapaxes(omega.mask, 0, 1).reshape(n, -1),
              False: omega.mask[:, :, -np.arange(k) % k].reshape(m, -1)}
     for y_update, factor in ((True, x), (False, y)):
-        rows = tls.circulant_rows(factor)
+        rows = circulant_rows(factor)
         tall = [keep for keep in masks[y_update] if keep.sum() >= r * k]
         assert len(tall) >= 3
         expected = np.linalg.cond(np.stack([rows[keep].T @ rows[keep] for keep in tall]))
@@ -81,3 +84,30 @@ def test_golden_write_keeps_stored_runs_that_still_match(monkeypatch):
     golden = {"kept": run, "moved": run, "removed": run}
     fresh = {"kept": nudged, "moved": tampered, "added": run}
     assert script.merged(golden, fresh) == {"kept": run, "moved": tampered, "added": run}
+
+
+def test_golden_write_prints_each_run_it_replaces(monkeypatch, tmp_path, capsys):
+    # GOLDEN points at a temporary file, and run_cases at hand-made runs
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    script = load_script("golden")
+    stored = Path(script.GOLDEN).read_bytes()
+    run = {"iterations": 2, "rse": [(0.5).hex(), (0.25).hex()],
+           "norm": (2.0).hex(), "projections": [(1.0).hex(), (-1.0).hex()]}
+    moved = dict(run, norm=(2.0 * (1 + 3e-12)).hex())
+    longer = dict(run, iterations=3, rse=run["rse"] + [(0.125).hex()])
+    golden = {"kept": run, "moved": run, "longer": run, "removed": run}
+    fresh = {"kept": run, "moved": moved, "longer": longer, "added": run}
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden))
+    monkeypatch.setattr(script, "GOLDEN", str(path))
+    monkeypatch.setattr(script, "run_cases", lambda: fresh)
+    assert script.main(["--write"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "rewrote removed: missing",
+        "rewrote added: not in the goldens",
+        "rewrote longer: 3 iterations, 3 trace entries; golden 2, 2",
+        f"rewrote moved: {script.deviations(run, moved)}",
+    ]
+    assert 2.9 < script.deviations(run, moved)[1] < 3.1
+    assert json.loads(path.read_text()) == script.merged(golden, fresh)
+    assert (Path(__file__).parent / "golden.json").read_bytes() == stored

@@ -23,7 +23,6 @@ from tubalkit.tls import (
     _pinv_apply,
     _pivot_singular,
     _solve,
-    circulant_rows,
     ls_solve_x,
     ls_solve_y,
     median_count,
@@ -31,7 +30,7 @@ from tubalkit.tls import (
     median_ls_x,
 )
 
-from oracles import circ_expand, frobenius_norm, full_set
+from oracles import circ_expand, circulant_rows, frobenius_norm, full_set
 
 
 def build_slice_system(observed_freq, mask_freq, x_freq, j):
@@ -458,7 +457,8 @@ def test_x_half_step_is_the_y_half_step_of_the_t_transpose(m, n, k, p, wide, tal
         assert np.all(direct[1] == 0.0)
         for t, count in ((3, 3), (None, median_count(m))):
             labels_t = ttranspose(split_labels(omega, count, seed))
-            sols = _solve(observed_t, omega_t, factor, True, None, labels_t, count)
+            plan_t = _Plan(observed_t, omega_t, 3 * k, True, labels_t, count)
+            sols = _solve(observed_t, omega_t, factor, True, plan_t)
             assert np.array_equal(median_ls_x(observed, omega, factor, seed, t=t),
                                   np.median(sols, axis=0))
 
@@ -658,25 +658,18 @@ def dense_solve_tall(rows, masks, values, count, sol):
 
 
 def dense_solve_wide(rows, masks, values, count, sol):
+    # batches of systems with one row count h, ascending, each within BLOCK_BYTES
     q = rows.shape[1]
     wide = np.flatnonzero((count > 0) & (count < q))
-    if not len(wide):
-        return
-    wide = wide[np.argsort(count[wide])]
-    h = count[wide]
-    system, pos = np.nonzero(masks[wide])
-    rank = np.arange(len(system)) - np.repeat(np.cumsum(h) - h, h)
-    index = np.full((len(wide), h[-1]), len(rows))
-    index[system, rank] = pos
-    rhs = np.zeros(index.shape)
-    rhs[system, rank] = values[wide[system] % len(values), pos]
-    rows = np.vstack([rows, np.zeros((1, q))])
-    step = max(1, BLOCK_BYTES // (8 * h[-1] * q))
-    for lo in range(0, len(wide), step):
-        hi = min(lo + step, len(wide))
-        kept = rows[index[lo:hi, : h[hi - 1]]]
-        coef = _pinv_apply(kept @ kept.transpose(0, 2, 1), rhs[lo:hi, : h[hi - 1]])
-        sol[wide[lo:hi]] = (coef[:, None, :] @ kept)[:, 0]
+    for h in np.unique(count[wide]):
+        group = wide[count[wide] == h]
+        step = max(1, BLOCK_BYTES // (8 * h * q))
+        for lo in range(0, len(group), step):
+            block = group[lo : lo + step]
+            kept = np.stack([rows[masks[slot]] for slot in block])
+            rhs = np.stack([values[slot % len(values), masks[slot]] for slot in block])
+            coef = _pinv_apply(kept @ kept.transpose(0, 2, 1), rhs)
+            sol[block] = (coef[:, None, :] @ kept)[:, 0]
 
 
 def dense_mask_half_step(observed, omega, factor, y_update, subsets):
@@ -684,7 +677,7 @@ def dense_mask_half_step(observed, omega, factor, y_update, subsets):
     dense subset masks, one boolean row scan per system.
 
     Test oracle only: the solver reads the same systems, in the same order
-    and with the same padded blocks, from a sorted list of observed entries,
+    and with the same batches, from a sorted list of observed entries,
     so its empty and wide systems must agree bit for bit; it forms the tall
     Grams from the mask spectrum instead of gathering rows.
     """
@@ -771,12 +764,45 @@ def test_tall_gram_stack_stays_within_block_bytes():
     m, n, k, r = 50, 50, 20, 3
     omega = sample_bernoulli(m, n, k, 0.5, RngSeed(45, "tall-k"))
     plan = _Plan(project(np.ones((m, n, k)), omega), omega, r * k, True)
-    assert plan.rows is None  # no wide systems, so no circulant rows
+    assert plan.wide == []  # every slice is tall
     x = np.ones((m, r, k))
     blocks = [(systems, gram.base) for systems, gram, _ in plan.spectral.grams(x)]
     assert sum(len(systems) for systems, _ in blocks) == n
     assert all(buffer.nbytes <= BLOCK_BYTES for _, buffer in blocks)
     assert BLOCK_BYTES < n * (r * k) ** 2 * 8
+
+
+def test_wide_batches_hold_one_row_count_unpadded_within_block_bytes():
+    # Every fourth lateral slice observes 29 of its 40 rows, so those 100
+    # systems (q = 30 unknowns, 75 to a batch) fill two batches; the other
+    # slices observe 0 to 35 rows: empty, wide of many row counts, and tall.
+    m, n, k, r = 4, 400, 10, 3
+    q = r * k
+    rng = np.random.default_rng(46)
+    count = np.where(np.arange(n) % 4 == 0, 29, rng.integers(0, 36, n))
+    mask = np.zeros((n, m * k), dtype=bool)  # [slice j, row (i, kappa)]
+    for j, h in enumerate(count):
+        mask[j, rng.choice(m * k, h, replace=False)] = True
+    omega = SampleSet(np.ascontiguousarray(mask.reshape(n, m, k).swapaxes(0, 1)))
+    observed = project(rng.standard_normal((m, n, k)), omega)
+    x = rng.standard_normal((m, r, k))
+    plan = _Plan(observed, omega, q, True)
+    wide = np.flatnonzero((count > 0) & (count < q))
+    assert len(np.unique(count[wide])) > 20 and plan.spectral is not None
+    assert np.array_equal(np.sort(np.concatenate([s for s, _, _ in plan.wide])), wide)
+    rows = circulant_rows(x)
+    for systems, offsets, rhs in plan.wide:
+        h = offsets.shape[1]
+        assert np.all(count[systems] == h)
+        assert offsets.shape == (len(systems), h, q) and rhs.shape == (len(systems), h)
+        assert offsets.nbytes <= BLOCK_BYTES
+        assert np.array_equal(x.take(offsets), np.stack([rows[mask[j]] for j in systems]))
+    assert sum(rhs.size for _, _, rhs in plan.wide) == count[wide].sum()  # no padding
+    assert [offsets.shape[1] for _, offsets, _ in plan.wide].count(29) == 2
+    sol = ls_solve_y(observed, omega, x, plan=plan).reshape(n, q)
+    for j in wide:
+        ref = np.linalg.pinv(rows[mask[j]]) @ observed[:, j].reshape(-1)[mask[j]]
+        assert np.linalg.norm(sol[j] - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def tall_systems(observed, omega, factor, y_update):
