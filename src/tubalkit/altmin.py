@@ -2,7 +2,8 @@
 
 `tubal_alt_min` runs one loop; each round calls its variant's half-steps:
   * "simplified" - spectral start on all of Omega, then tensor least squares
-    on all of Omega (`ls_solve_y`/`ls_solve_x` through two plans built once);
+    on all of Omega (`ls_solve_y`/`ls_solve_x` through two plans built once,
+    the X plan reading the Y plan's mask spectrum);
   * "full" - spectral start on a split-off half of Omega, then `median_ls`/
     `median_ls_x` on a fresh part of the other half every round, each
     followed by coherence-controlled re-orthonormalization (`smooth_qr`).
@@ -212,12 +213,15 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
     else:
         x = initialize(observed, omega, r, cfg.seed)
         parts = [omega] * cfg.iterations
-        # Omega is the same in every half-step: one least-squares plan each
-        y_plan, x_plan = (_Plan(observed, omega, r * k, up) for up in (True, False))
+        # Omega is the same in every half-step: one least-squares plan each,
+        # the X plan reading the Y plan's mask spectrum
+        y_plan = _Plan(observed, omega, r * k, True)
+        x_plan = _Plan(observed, omega, r * k, False, partner=y_plan)
 
     rse_trace = []
     seconds = []
     for step, part in enumerate(parts):
+        estimate = None  # the last round's, dead through the half-steps
         if full:
             seed = cfg.seed.derive(f"iter{step}")
             y = smooth_qr(median_ls(observed, part, x, seed.derive("y")), seed.derive("qy"))

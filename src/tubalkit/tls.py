@@ -16,9 +16,12 @@ pseudo-inverse where a Cholesky pivot says the Gram is singular.  K K^T and
 K^T K have the same nonzero eigenvalues, so both apply one eigenvalue cut.
 
 The tall Grams K^T K and right-hand sides K^T b come from each system's
-mask spectrum (`_Spectral`); the wide route reads its rows of C from x.
+mask spectrum (`_Spectral`); an X plan whose systems, and its Y partner's,
+are all tall reads the Y plan's spectrum transposed.  The wide route reads
+its rows of C from x.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -73,11 +76,18 @@ class _Spectral:
     and observed values, zero off it.  For a system with mask M,
     G[(s, sigma), (s', sigma + delta)] = sum_i sum_u M[i, u - sigma]
     x[i, s, u] x[i, s', u + delta] correlates mask tubes with pair products,
-    so its spectrum is sum_i conj(M^[i]) times theirs.  The plan keeps that
-    spectrum in real form [[Sr, -Si], [Si, Sr]], per block of systems.  Both
-    triangles of a Gram read one pair s <= s', so it is symmetric.  The
-    right-hand sides are one t-product of the masked values with the
-    factor, ttranspose(P_Omega T) * X."""
+    so its spectrum is sum_i conj(M^[i]) times theirs.  `form` keeps that
+    spectrum for all systems in real form [[Sr, -Si], [Si, Sr]], (k//2+1,
+    2 systems, 2 others); a block of systems reads its real and its
+    imaginary rows with one GEMM each.  Both triangles of a Gram read one
+    pair s <= s', so it is symmetric.  The right-hand sides are one
+    t-product of the masked values with the factor, ttranspose(P_Omega T) * X,
+    from the conjugate half spectrum `left` of the masked values.
+
+    Reversing a tube conjugates its DFT, so on the t-transposed problem of
+    the same Omega, where every slice of both is a system, the block form is
+    `form` transposed and `left` is conj(`left`) transposed: `transposed`
+    reads both without a copy."""
 
     def __init__(self, mask, observed, systems, q):
         k, kh = mask.shape[2], mask.shape[2] // 2 + 1
@@ -87,13 +97,11 @@ class _Spectral:
         self.forward = np.stack([np.cos(angle), -np.sin(angle)], 1).reshape(2 * kh, k)
         self.inverse = self.forward * np.repeat(freq_weights(k)[:kh] / k, 2)[:, None]
         self.pairs = np.triu_indices(q // k)
-        width = len(self.pairs[0]) * k
         # conjugate half spectra (kh, systems, others) of the masks and of P_Omega T
         spec = freq_slices(mask * 1.0).conj()
-        self.left = freq_slices(observed).conj()
-        re, im = spec.real, spec.imag
-        self.blocks = [(systems[s], s, np.block([[re[:, s], -im[:, s]], [im[:, s], re[:, s]]]))
-                       for s in _blocks(len(systems), 8 * max(2 * kh * width, q * q))]
+        self.left, self.flip = freq_slices(observed).conj(), False
+        self.form = np.block([[spec.real, -spec.imag], [spec.imag, spec.real]])
+        self.systems = systems
         # Gram entry (a, b) reads [pair(s, s'), (sigma' - sigma) mod k, sigma]
         # of (min(a, b), max(a, b)) = ((s, sigma), (s', sigma'))
         pair = np.zeros((q // k, q // k), dtype=np.intp)
@@ -103,11 +111,20 @@ class _Spectral:
         s2, sigma2 = np.divmod(np.maximum.outer(a, a), k)
         self.table = (pair[s, s2] * k + (sigma2 - sigma) % k) * k + sigma
 
+    def transposed(self):
+        """These spectra as the t-transposed problem's, whose systems are all
+        of this problem's others: `form` and `left` transposed, and `flip`
+        reading `left` conjugated."""
+        other = copy.copy(self)
+        other.form, other.left = self.form.swapaxes(1, 2), self.left.swapaxes(1, 2)
+        other.flip, other.systems = not self.flip, np.arange(self.form.shape[2] // 2)
+        return other
+
     def grams(self, factor):
         """(systems, Grams, right-hand sides) of each block of tall systems."""
         p, r, k = factor.shape
         first, second = self.pairs
-        width = len(first) * k
+        width, q = len(first) * k, r * k
         tubes = factor.transpose(2, 0, 1)  # [u, i, s]
         # the tubes twice over, so that shifted[u, i, pair, delta] = x[i, s', u + delta]
         shifted = sliding_window_view(np.concatenate([tubes[:, :, second]] * 2), k, 0)[:k]
@@ -117,17 +134,23 @@ class _Spectral:
             pairs = shifted[:, rows] * tubes[:, rows][:, :, first, None]
             cols = slice(rows.start * width, rows.start * width + pairs[0].size)
             np.matmul(self.forward, pairs.reshape(k, -1), out=spectrum[:, cols])
-        spectrum = spectrum.reshape(-1, 2 * p, width)
-        rhs = from_freq_slices(self.left @ freq_slices(factor), k).reshape(-1, r * k)
-        # one call's buffers, within BLOCK_BYTES: the block GEMM's product,
+        del pairs, shifted  # dead while the caller factors the Grams
+        spectrum = spectrum.reshape(-1, 1, 2 * p, width)
+        spec = freq_slices(factor)
+        rhs = np.conj(self.left @ spec.conj()) if self.flip else self.left @ spec
+        rhs = from_freq_slices(rhs, k).reshape(-1, q)
+        form = self.form.reshape(len(spectrum), 2, -1, 2 * p)  # [w, re/im, system, col]
+        # one call's buffers, within BLOCK_BYTES: the block GEMMs' product,
         # then the block's Grams; and the product's inverse DFT
-        step, q = len(self.blocks[0][0]), r * k
-        work = np.empty(step * max(len(self.forward) * width, q * q))
-        spread = np.empty(step * width * k)
-        for systems, at, mixed in self.blocks:
+        item = max(len(self.forward) * width, q * q)
+        blocks = _blocks(len(self.systems), 8 * item)
+        step = len(self.systems[blocks[0]])
+        work, spread = np.empty(step * item), np.empty(step * width * k)
+        for at in blocks:
+            systems = self.systems[at]
             size = len(systems) * width
-            product = work[: len(self.forward) * size].reshape(-1, 2 * len(systems), width)
-            np.matmul(mixed, spectrum, out=product)
+            product = work[: len(self.forward) * size].reshape(-1, 2, len(systems), width)
+            np.matmul(form[:, :, at], spectrum, out=product)
             back = spread[: size * k].reshape(size, k)  # [system, pair, delta, sigma]
             np.matmul(product.reshape(-1, size).T, self.inverse, out=back)
             gram = work[: len(systems) * q * q].reshape(-1, q, q)
@@ -144,9 +167,11 @@ class _Plan:
     the tall systems' `_Spectral`.  An X plan reads the slices of T^dag.
     System (subset, slice) observes the entries of its slice that `labels`
     puts in its subset, or all of them without labels.  It serves only the
-    `observed` and `omega` objects it was built from."""
+    `observed` and `omega` objects it was built from.  `partner`, the other
+    half-step's unlabelled plan of the same observed, omega and q, lends its
+    `_Spectral` transposed where every system of both plans is tall."""
 
-    def __init__(self, observed, omega, q, y_update, labels=None, t=1):
+    def __init__(self, observed, omega, q, y_update, labels=None, t=1, partner=None):
         if np.shape(observed) != omega.dims:
             raise DimensionMismatch(f"observed {np.shape(observed)} vs omega {omega.dims}")
         # slices along axis 0, rows (i, kappa): of T, or of T^dag as ttranspose's one copy
@@ -169,7 +194,10 @@ class _Plan:
         # h >= q: each system's own mask and observed values, zero off it
         tall = np.flatnonzero(count >= q)
         self.spectral = None
-        if len(tall):
+        lent = partner and partner.spectral
+        if lent and labels is None and len(tall) == slices and len(lent.systems) == mask.shape[1]:
+            self.spectral = lent.transposed()  # every system of both plans is tall
+        elif len(tall):
             subset, j = np.divmod(tall, slices)
             own = mask[j]
             if labels is not None:

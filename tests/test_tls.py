@@ -463,6 +463,53 @@ def test_x_half_step_is_the_y_half_step_of_the_t_transpose(m, n, k, p, wide, tal
                                   np.median(sols, axis=0))
 
 
+@pytest.mark.parametrize(
+    "m, n, k, r, p, hole",
+    [(30, 20, 1, 2, 0.8, None), (20, 35, 2, 3, 0.7, None), (24, 18, 5, 3, 0.6, None),
+     (24, 18, 5, 3, 0.6, "y"), (24, 18, 5, 3, 0.6, "x")],
+)
+def test_x_plan_beside_a_y_plan_reads_its_spectra(m, n, k, r, p, hole):
+    # Beside a Y plan whose slices are all tall, an X plan whose slices are
+    # all tall reads the Y plan's block form and right-hand-side spectrum
+    # transposed.  Lateral slice 0 empty and slice 1 wide ("y"), or
+    # horizontal slice 0 wide ("x"), leaves it its own spectra.
+    rng = np.random.default_rng(m * n * k)
+    omega = sample_bernoulli(m, n, k, p, RngSeed(k, f"lend-{m}-{n}"))
+    if hole == "y":
+        omega.mask[:, :2] = False
+        omega.mask[0, 1] = True
+    if hole == "x":
+        omega.mask[0, 1:] = False
+    observed = project(rng.standard_normal((m, n, k)), omega)
+    x, y = rng.standard_normal((m, r, k)), rng.standard_normal((n, r, k))
+    q = r * k
+    y_plan = _Plan(observed, omega, q, True)
+    before = ls_solve_y(observed, omega, x, plan=y_plan)
+    form = y_plan.spectral.form.copy()
+    beside = _Plan(observed, omega, q, False, partner=y_plan)
+    alone = _Plan(observed, omega, q, False)
+    assert (y_plan.wide == []) == (hole != "y") and (alone.wide == []) == (hole != "x")
+    for name in ("form", "left"):
+        lent = np.shares_memory(getattr(beside.spectral, name), getattr(y_plan.spectral, name))
+        assert lent == (hole is None)
+    got, ref = ([(s.copy(), g.copy(), b.copy()) for s, g, b in plan.spectral.grams(y)]
+                for plan in (beside, alone))
+    assert [len(s) for s, _, _ in got] == [len(s) for s, _, _ in ref]
+    for (s1, g1, b1), (s2, g2, b2) in zip(got, ref):
+        assert np.array_equal(s1, s2)
+        assert np.linalg.norm(g1 - g2) <= 1e-12 * np.linalg.norm(g2)
+        assert np.linalg.norm(b1 - b2) <= 1e-12 * np.linalg.norm(b2)
+    sol = ls_solve_x(observed, omega, y, plan=beside)
+    ref_sol = ls_solve_x(observed, omega, y, plan=alone)
+    assert np.linalg.norm(sol - ref_sol) <= 1e-12 * np.linalg.norm(ref_sol)
+    if hole is not None:
+        assert np.array_equal(sol, ref_sol)
+    # lending leaves the Y plan and its half-steps as they were, bit for bit
+    assert np.array_equal(y_plan.spectral.form, form)
+    assert np.array_equal(ls_solve_y(observed, omega, x, plan=y_plan), before)
+    assert np.array_equal(before, ls_solve_y(observed, omega, x))
+
+
 def test_zero_observation_horizontal_slice():
     rng = np.random.default_rng(13)
     mask = rng.random((5, 4, 3)) < 0.7
@@ -871,7 +918,7 @@ def test_block_mixing_singular_and_regular_tall_slices():
     plan = _Plan(observed, omega, 2 * k, True)
     spectral = np.concatenate([_pivot_singular(g) for _, g, _ in plan.spectral.grams(x)])
     assert list(np.flatnonzero(spectral)) == [1, 4, 6]
-    assert len(plan.spectral.blocks) == 1
+    assert [len(systems) for systems, _, _ in plan.spectral.grams(x)] == [n]  # one block
     got = ls_solve_y(observed, omega, x)
     ref = dense_mask_half_step(observed, omega, x, True, [omega])[0]
     assert frobenius_norm(got - ref) <= 1e-12 * frobenius_norm(ref)
@@ -895,7 +942,7 @@ def test_spectral_block_mixing_singular_and_regular_tall_slices():
     spectral = np.concatenate([_pivot_singular(g) for _, g, _ in plan.spectral.grams(x)])
     gathered = _pivot_singular(grams)
     assert list(np.flatnonzero(spectral)) == list(np.flatnonzero(gathered)) == [1, 4, 6]
-    assert len(plan.spectral.blocks) == 1
+    assert [len(systems) for systems, _, _ in plan.spectral.grams(x)] == [n]  # one block
     got = ls_solve_y(observed, omega, x, plan=plan)
     ref = dense_mask_half_step(observed, omega, x, True, [omega])[0]
     assert frobenius_norm(got - ref) <= 1e-12 * frobenius_norm(ref)
