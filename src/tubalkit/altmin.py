@@ -3,7 +3,8 @@
 `tubal_alt_min` runs one loop; each round calls its variant's half-steps:
   * "simplified" - spectral start on all of Omega, then tensor least squares
     on all of Omega (`ls_solve_y`/`ls_solve_x` through two plans built once,
-    the X plan reading the Y plan's mask spectrum);
+    the X plan reading the Y plan's mask spectrum), the next round starting
+    from each round's X Anderson-mixed with the rounds before it;
   * "full" - spectral start on a split-off half of Omega, then `median_ls`/
     `median_ls_x` on a fresh part of the other half every round, each
     followed by coherence-controlled re-orthonormalization (`smooth_qr`).
@@ -44,6 +45,8 @@ COHERENCE_BUDGET = 1e6
 # initialize's range finder: extra test columns beyond r, and power steps
 RANGE_OVERSAMPLE = 4
 RANGE_STEPS = 2
+# simplified AltMin mixes each round's factor with this many rounds before it
+ANDERSON_DEPTH = 3
 
 
 def check_counts(**counts):
@@ -184,6 +187,44 @@ def smooth_qr(y, seed):
     return z
 
 
+class _Anderson:
+    """Type-II Anderson mixing (Walker & Ni 2011) of a fixed-point iteration
+    x <- g(x), over the last `depth` rounds before the current one.
+
+    Round i gives the raw g_i = g(x_i) and the step f_i = g_i - x_i.  With
+    dF and dG the differences of successive steps and raws held, the next
+    iterate is g_k - dG gamma, for gamma = argmin ||f_k - dF gamma||.  A
+    round whose step is longer than the last one clears the history and
+    continues from g_k.  The history is allocated once, and every inner
+    product is an einsum, so the result does not depend on the BLAS thread
+    count."""
+
+    def __init__(self, shape, depth):
+        self.raws = np.empty((depth + 1, *shape))
+        self.steps = np.empty((depth + 1, *shape))
+        self.held, self.last = 0, math.inf
+
+    def __call__(self, x, raw):
+        """The next iterate after the round that took x to raw."""
+        step = raw - x
+        norm = frobenius(step)
+        if norm > self.last:
+            self.held = 0
+        self.last = norm
+        if self.held == len(self.raws):  # drop the oldest round
+            self.raws[:-1], self.steps[:-1] = self.raws[1:], self.steps[1:]
+            self.held -= 1
+        self.raws[self.held], self.steps[self.held] = raw, step
+        self.held += 1
+        if self.held == 1:
+            return raw
+        d_steps = np.diff(self.steps[: self.held], axis=0).reshape(self.held - 1, -1)
+        gram = np.einsum("in,jn->ij", d_steps, d_steps)
+        gamma = np.linalg.lstsq(gram, np.einsum("in,n->i", d_steps, step.ravel()))[0]
+        d_raws = np.diff(self.raws[: self.held], axis=0)
+        return raw - np.einsum("i,i...->...", gamma, d_raws)
+
+
 def tubal_alt_min(observed, omega, cfg, ground_truth=None):
     """Run the configured solver variant and return its SolveReport.
 
@@ -192,9 +233,13 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
     and the stall rule.  Before the loop the variant picks its start
     (`initialize` on all of Omega, or on half of it) and its parts (Omega
     every round, or disjoint parts of the other half).  A simplified round
-    calls `ls_solve_y`/`ls_solve_x` with two plans built once; a full round
-    calls `median_ls`/`median_ls_x` on the round's seed streams, each
-    followed by `smooth_qr`, X's after the error is recorded.
+    calls `ls_solve_y`/`ls_solve_x` with two plans built once, and starts
+    the next round from x_raw mixed with up to ANDERSON_DEPTH rounds before
+    it (`_Anderson`, which reads only the factors); a full round calls
+    `median_ls`/`median_ls_x` on the round's seed streams, each followed by
+    `smooth_qr`, X's after the error is recorded.  A round maps x * G to
+    F(x) * G for any invertible tubal r x r G, so mixing factors needs no
+    normalization.
     """
     observed = check_observed(observed, omega)
     m, n, k = observed.shape
@@ -211,6 +256,8 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
             raise InsufficientSamples("a split subset is empty")
         x = initialize(observed, omega0, r, cfg.seed)
     else:
+        # allocated once, before the plans: the lowest peak RSS measured
+        mix = _Anderson((m, r, k), ANDERSON_DEPTH)
         x = initialize(observed, omega, r, cfg.seed)
         parts = [omega] * cfg.iterations
         # Omega is the same in every half-step: one least-squares plan each,
@@ -233,7 +280,7 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
         value = trace_error(estimate, observed, omega, ground_truth)
         rse_trace.append(value)
         seconds.append(time.perf_counter() - start)
-        x = smooth_qr(x_raw, seed.derive("qx")) if full else x_raw
+        x = smooth_qr(x_raw, seed.derive("qx")) if full else mix(x, x_raw)
         if cfg.stop_rse is not None and value <= cfg.stop_rse:
             break
         window = cfg.stall_window

@@ -129,12 +129,17 @@ class _Spectral:
         # the tubes twice over, so that shifted[u, i, pair, delta] = x[i, s', u + delta]
         shifted = sliding_window_view(np.concatenate([tubes[:, :, second]] * 2), k, 0)[:k]
         spectrum = np.empty((len(self.forward), p * width))
-        for rows in _blocks(p, 8 * k * width):
-            # pair products [u, i, pair, delta] = x[i, s, u] * x[i, s', u + delta]
-            pairs = shifted[:, rows] * tubes[:, rows][:, :, first, None]
-            cols = slice(rows.start * width, rows.start * width + pairs[0].size)
+        spans = _blocks(p, 8 * k * width)
+        products = np.empty(len(factor[spans[0]]) * k * width)
+        for rows in spans:
+            # pair products [u, i, pair, delta] = x[i, s, u] * x[i, s', u + delta],
+            # written in C order, so that the DFT GEMM reads them without a copy
+            count = len(factor[rows])
+            pairs = products[: count * k * width].reshape(k, count, -1, k)
+            np.multiply(shifted[:, rows], tubes[:, rows][:, :, first, None], out=pairs)
+            cols = slice(rows.start * width, (rows.start + count) * width)
             np.matmul(self.forward, pairs.reshape(k, -1), out=spectrum[:, cols])
-        del pairs, shifted  # dead while the caller factors the Grams
+        del products, pairs, shifted  # dead while the caller factors the Grams
         spectrum = spectrum.reshape(-1, 1, 2 * p, width)
         spec = freq_slices(factor)
         rhs = np.conj(self.left @ spec.conj()) if self.flip else self.left @ spec

@@ -2,8 +2,9 @@
 
 The t-inverse, the circular-matrix image of a tensor, the circulant rows
 of a least-squares factor, the full t-SVD, tubal-rank detection, best
-rank-r truncation, the paper's tube truncation, the sample-set writer and
-the noisy power-method harness of the convergence analysis are oracles:
+rank-r truncation, the paper's tube truncation, the sample-set writer,
+the noisy power-method harness of the convergence analysis and the plain
+simplified AltMin alternation without mixing are oracles:
 tests check the package against them, but no solver, CLI path, script or
 benchmark workload calls them.  Tests import this file as
 `from oracles import ...`; pytest puts `tests/` on `sys.path`.
@@ -21,9 +22,10 @@ from tubalkit.algebra import (
     ttranspose,
     unit_phase,
 )
-from tubalkit.altmin import qr_tensor, top_r_eigenslices
+from tubalkit.altmin import initialize, qr_tensor, rse, top_r_eigenslices
 from tubalkit.errors import DimensionMismatch, RankOutOfRange, TubalError
 from tubalkit.sampling import RngSeed, SampleSet
+from tubalkit.tls import _Plan, ls_solve_x, ls_solve_y
 
 COND_LIMIT = 1e12  # tinv refuses a frequency slice less well conditioned
 DEFAULT_RANK_TOL = 1e-8
@@ -191,3 +193,20 @@ def noisy_subspace_iteration(t, x0, iterations, noise_gen=None, seed=None):
         x = qr_tensor(z)
         trace.append(angle(x))
     return trace
+
+
+def plain_alt_min(observed, omega, r, iterations, seed, truth):
+    """Simplified AltMin without mixing: from `initialize`, `iterations`
+    rounds of the Y and X half-steps through two plans built once, each
+    round's X taken as is.  Returns the RSE trace and the last estimate."""
+    k = observed.shape[2]
+    x = initialize(observed, omega, r, seed)
+    y_plan = _Plan(observed, omega, r * k, True)
+    x_plan = _Plan(observed, omega, r * k, False, partner=y_plan)
+    trace = []
+    for _ in range(iterations):
+        y = ls_solve_y(observed, omega, x, plan=y_plan)
+        x = ls_solve_x(observed, omega, y, plan=x_plan)
+        estimate = tprod(x, ttranspose(y))
+        trace.append(rse(estimate, truth))
+    return trace, estimate

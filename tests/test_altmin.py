@@ -42,6 +42,7 @@ from oracles import (
     frobenius_norm,
     full_set,
     noisy_subspace_iteration,
+    plain_alt_min,
     truncate_tubes,
     tsvd,
 )
@@ -277,6 +278,62 @@ def test_simplified_variant_recovers_at_p_0_15():
         spec, "altmin-simple", observed, omega, truth, base.derive("altmin-simple")
     )
     assert report.rse[-1] <= 0.05
+
+
+def test_simplified_variant_recovers_at_p_0_2_within_30_rounds():
+    # the plain alternation x <- x_raw took 50 rounds to RSE 1e-6 here
+    spec = harness.ExperimentSpec(rates=[0.2], iterations=30)
+    truth, observed, omega, base = harness._instance(spec, 0.2, 0)
+    report = harness.run_algorithm(
+        spec, "altmin-simple", observed, omega, truth, base.derive("altmin-simple")
+    )
+    assert min(report.rse) <= 1e-6
+
+
+def test_anderson_mixing_solves_a_linear_fixed_point():
+    # x <- a x + b with ||a|| = 0.9: mixing over three rounds spans the
+    # 3-dimensional space, so it lands on the fixed point, up to rounding
+    rng = np.random.default_rng(0)
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    a = q @ np.diag([0.9, -0.6, 0.3]) @ q.T
+    b = rng.standard_normal(3)
+    fixed = np.linalg.solve(np.eye(3) - a, b)
+    mix = altmin._Anderson((3,), altmin.ANDERSON_DEPTH)
+    x = plain = np.zeros(3)
+    for _ in range(6):
+        x = mix(x, a @ x + b)
+        plain = a @ plain + b
+    assert np.linalg.norm(x - fixed) <= 1e-12
+    assert np.linalg.norm(plain - fixed) > 0.1
+
+
+def test_anderson_mixing_restarts_after_a_longer_step():
+    rng = np.random.default_rng(1)
+    xs, steps = rng.standard_normal((2, 4, 4))
+    steps *= (np.array([1.0, 0.5, 5.0, 0.3]) / np.linalg.norm(steps, axis=1))[:, None]
+    raws = xs + steps  # round 2's step is longer than round 1's
+    mix = altmin._Anderson((4,), 3)
+    mixed = [mix(x, raw) for x, raw in zip(xs[:4], raws[:4])]
+    assert not np.array_equal(mixed[1], raws[1])
+    assert np.array_equal(mixed[2], raws[2])
+    # the history starts again from round 2, as in a fresh mixer
+    fresh = altmin._Anderson((4,), 3)
+    assert np.array_equal(fresh(xs[2], raws[2]), raws[2])
+    assert np.array_equal(fresh(xs[3], raws[3]), mixed[3])
+
+
+def test_simplified_loop_without_mixing_is_the_plain_alternation(monkeypatch):
+    spec = harness.ExperimentSpec(rates=[0.5], iterations=8)
+    truth, observed, omega, base = harness._instance(spec, 0.5, 0)
+    cfg = SolverConfig(target_rank=3, iterations=8, seed=base)
+    trace, estimate = plain_alt_min(observed, omega, 3, 8, base, truth)
+    # the first mixed iterate feeds round 3
+    mixed = tubal_alt_min(observed, omega, cfg, ground_truth=truth)
+    assert mixed.rse[:2] == trace[:2] and mixed.rse[2] != trace[2]
+    monkeypatch.setattr(altmin, "ANDERSON_DEPTH", 0)
+    report = tubal_alt_min(observed, omega, cfg, ground_truth=truth)
+    assert report.rse == trace
+    assert np.array_equal(report.estimate, estimate)
 
 
 def test_smooth_qr_low_coherence_no_perturbation(monkeypatch):
