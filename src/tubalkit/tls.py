@@ -11,9 +11,11 @@ t-transposed problem T^dag ~ Y * X^dag, with y as the factor.
 Each slice system K z = b, with h observed rows and q = r*k unknowns, is
 solved by its row count: z = 0 for h = 0; for 0 < h < q the minimum-norm
 z = K^T (K K^T)^+ b from the h x h row Gram, batched by exact row count;
-for h >= q the q x q normal equations K^T K z = K^T b, batched, with the
-pseudo-inverse where a Cholesky pivot says the Gram is singular.  K K^T and
-K^T K have the same nonzero eigenvalues, so both apply one eigenvalue cut.
+for h >= q the q x q normal equations K^T K z = K^T b, batched, from one
+Cholesky factor of the bordered Gram [[K^T K, K^T b], [b^T K, c]]: its last
+row is L^-1 K^T b, and a blocked back substitution finishes.  Where a pivot
+says K^T K is singular, the pseudo-inverse solves instead.  K K^T and K^T K
+have the same nonzero eigenvalues, so both apply one eigenvalue cut.
 
 The tall Grams K^T K and right-hand sides K^T b come from each system's
 mask spectrum (`_Spectral`); an X plan whose systems, and its Y partner's,
@@ -41,18 +43,50 @@ SINGULAR_TOL = 1e-10
 # small, and so do the spectral route's pair products and block GEMMs; the
 # median wrappers solve hundreds of slices per call.
 BLOCK_BYTES = 512 * 1024
+# The back substitution steps through the triangular factor this many rows at
+# a time, with each diagonal block inverted: q/6 Python steps per block of
+# systems.  On whole solves at q = 30 and q = 60 widths 4 to 8 timed alike,
+# and 3, 10 and 12 slower; timed alone, 5 and 6 were the fastest.
+BACK_ROWS = 6
 
 
-def _pivot_singular(gram):
+def _pivot_singular(gram, q=None):
+    """Which Grams of the stack a pivot among the first q (all by default)
+    finds singular, and the stack's Cholesky factors.  A Gram whose
+    factorization fails is singular, with a zero factor."""
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         if len(gram) == 1:
-            return np.ones(1, dtype=bool)
-        return np.concatenate([_pivot_singular(g[None]) for g in gram])
-    pivots = np.diagonal(chol, axis1=1, axis2=2) ** 2
-    diag = np.diagonal(gram, axis1=1, axis2=2)
-    return np.any(pivots <= SINGULAR_TOL * diag, axis=1)
+            return np.ones(1, dtype=bool), np.zeros_like(gram)
+        singular, chol = zip(*(_pivot_singular(g[None], q) for g in gram))
+        return np.concatenate(singular), np.concatenate(chol)
+    pivots = np.diagonal(chol, axis1=1, axis2=2)[:, :q] ** 2
+    diag = np.diagonal(gram, axis1=1, axis2=2)[:, :q]
+    return np.any(pivots <= SINGULAR_TOL * diag, axis=1), chol
+
+
+def _back_substitute(chol):
+    """z with L^T z = w, for each factor [[L, 0], [w^T, d]] of a bordered Gram."""
+    q, b = chol.shape[1] - 1, BACK_ROWS
+    starts = np.arange(0, q, b)
+    # where b does not divide q the last block repeats row q - 1: the leading
+    # corner of a triangular block's inverse reads only that corner
+    rows = np.minimum(starts[:, None] + np.arange(b), q - 1)
+    diag = chol[:, rows[:, :, None], rows[:, None, :]]  # [system, block, b, b]
+    # invert each block's lower triangle in place, a row at a time; the
+    # inverse's rows above row i are already lower triangular
+    for i in range(b):
+        row = -(diag[..., i, None, :i] @ diag[..., :i, :])[..., 0, :]
+        row[..., i] += 1.0
+        diag[..., i, :] = row / diag[..., i, i, None]
+    z = chol[:, q, :q].copy()  # w, replaced by z from the last block up
+    for block, lo in reversed(list(enumerate(starts))):
+        hi = min(lo + b, q)
+        part = z[:, None, lo:hi] @ diag[:, block, : hi - lo, : hi - lo]
+        z[:, lo:hi] = part[:, 0]
+        z[:, :lo] -= (part @ chol[:, lo:hi, :lo])[:, 0]
+    return z
 
 
 def _pinv_apply(gram, rhs):
@@ -82,12 +116,17 @@ class _Spectral:
     imaginary rows with one GEMM each.  Both triangles of a Gram read one
     pair s <= s', so it is symmetric.  The right-hand sides are one
     t-product of the masked values with the factor, ttranspose(P_Omega T) * X,
-    from the conjugate half spectrum `left` of the masked values.
+    from the conjugate half spectrum `left` of the masked values.  Each
+    block's Grams are bordered by their right-hand sides, with corner
+    c = 2 ||h||^2 + 1 from the system's observed values h.  c exceeds
+    b^T G^+ b, which is at most ||h||^2, so the bordered Gram is positive
+    definite wherever G is, even when h is zero or fitted exactly.
 
     Reversing a tube conjugates its DFT, so on the t-transposed problem of
     the same Omega, where every slice of both is a system, the block form is
     `form` transposed and `left` is conj(`left`) transposed: `transposed`
-    reads both without a copy."""
+    reads both without a copy, and swaps the corners per system and per
+    other."""
 
     def __init__(self, mask, observed, systems, q):
         k, kh = mask.shape[2], mask.shape[2] // 2 + 1
@@ -102,6 +141,9 @@ class _Spectral:
         self.left, self.flip = freq_slices(observed).conj(), False
         self.form = np.block([[spec.real, -spec.imag], [spec.imag, spec.real]])
         self.systems = systems
+        # bordered Grams' corners per system, and per other for `transposed`
+        tubes = np.einsum("jiu,jiu->ji", observed, observed)  # ||h||^2 per tube
+        self.corner, self.other_corner = 2 * tubes.sum(1) + 1, 2 * tubes.sum(0) + 1
         # Gram entry (a, b) reads [pair(s, s'), (sigma' - sigma) mod k, sigma]
         # of (min(a, b), max(a, b)) = ((s, sigma), (s', sigma'))
         pair = np.zeros((q // k, q // k), dtype=np.intp)
@@ -109,7 +151,8 @@ class _Spectral:
         a = np.arange(q)
         s, sigma = np.divmod(np.minimum.outer(a, a), k)
         s2, sigma2 = np.divmod(np.maximum.outer(a, a), k)
-        self.table = (pair[s, s2] * k + (sigma2 - sigma) % k) * k + sigma
+        table = (pair[s, s2] * k + (sigma2 - sigma) % k) * k + sigma
+        self.table = np.pad(table, (0, 1))  # its last row and column are written apart
 
     def transposed(self):
         """These spectra as the t-transposed problem's, whose systems are all
@@ -118,10 +161,17 @@ class _Spectral:
         other = copy.copy(self)
         other.form, other.left = self.form.swapaxes(1, 2), self.left.swapaxes(1, 2)
         other.flip, other.systems = not self.flip, np.arange(self.form.shape[2] // 2)
+        other.corner, other.other_corner = self.other_corner, self.corner
         return other
 
     def grams(self, factor):
-        """(systems, Grams, right-hand sides) of each block of tall systems."""
+        """(systems, Grams, right-hand sides) of each block of tall systems,
+        as views of its bordered Grams."""
+        for systems, bordered in self.bordered(factor):
+            yield systems, bordered[:, :-1, :-1], bordered[:, -1, :-1]
+
+    def bordered(self, factor):
+        """(systems, bordered Grams [[G, b], [b^T, c]]) of each block of tall systems."""
         p, r, k = factor.shape
         first, second = self.pairs
         width, q = len(first) * k, r * k
@@ -146,8 +196,8 @@ class _Spectral:
         rhs = from_freq_slices(rhs, k).reshape(-1, q)
         form = self.form.reshape(len(spectrum), 2, -1, 2 * p)  # [w, re/im, system, col]
         # one call's buffers, within BLOCK_BYTES: the block GEMMs' product,
-        # then the block's Grams; and the product's inverse DFT
-        item = max(len(self.forward) * width, q * q)
+        # then the block's bordered Grams; and the product's inverse DFT
+        item = max(len(self.forward) * width, (q + 1) ** 2)
         blocks = _blocks(len(self.systems), 8 * item)
         step = len(self.systems[blocks[0]])
         work, spread = np.empty(step * item), np.empty(step * width * k)
@@ -158,9 +208,11 @@ class _Spectral:
             np.matmul(form[:, :, at], spectrum, out=product)
             back = spread[: size * k].reshape(size, k)  # [system, pair, delta, sigma]
             np.matmul(product.reshape(-1, size).T, self.inverse, out=back)
-            gram = work[: len(systems) * q * q].reshape(-1, q, q)
+            gram = work[: len(systems) * (q + 1) ** 2].reshape(-1, q + 1, q + 1)
             np.take(back.reshape(len(systems), -1), self.table, 1, gram, mode="clip")
-            yield systems, gram, rhs[at]
+            gram[:, q, :q] = gram[:, :q, q] = rhs[at]
+            gram[:, q, q] = self.corner[at]
+            yield systems, gram
 
 
 class _Plan:
@@ -235,13 +287,15 @@ def _solve(observed, omega, factor, y_update, plan=None):
     if (plan.y_update, plan.size, plan.q) != (y_update, p * k, r * k):
         raise DimensionMismatch(f"{omega.dims} vs factor {factor.shape}, plan q={plan.q}")
     sol = np.zeros((math.prod(plan.shape), plan.q))
-    # h >= q: batched normal equations
-    for block, gram, rhs in plan.spectral.grams(factor) if plan.spectral else ():
-        singular = _pivot_singular(gram)
+    # h >= q: batched normal equations, one Cholesky of each bordered Gram
+    for block, bordered in plan.spectral.bordered(factor) if plan.spectral else ():
+        singular, chol = _pivot_singular(bordered, plan.q)
         ok = ~singular if singular.any() else slice(None)  # a slice copies nothing
-        sol[block[ok]] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]
+        sol[block[ok]] = _back_substitute(chol[ok])
+        del chol  # dead before the next block's factors are allocated
         if singular.any():
-            sol[block[singular]] = _pinv_apply(gram[singular], rhs[singular])
+            bordered = bordered[singular]
+            sol[block[singular]] = _pinv_apply(bordered[:, :-1, :-1], bordered[:, -1, :-1])
     # 0 < h < q: the minimum-norm K^T (K K^T)^+ b from the h x h row Grams
     for systems, offsets, rhs in plan.wide:
         kept = factor.take(offsets)

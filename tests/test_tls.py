@@ -17,7 +17,9 @@ from tubalkit.sampling import (
     synth_low_tubal_rank,
 )
 from tubalkit.tls import (
+    BACK_ROWS,
     BLOCK_BYTES,
+    _back_substitute,
     _blocks,
     _Plan,
     _pinv_apply,
@@ -449,7 +451,7 @@ def test_x_half_step_is_the_y_half_step_of_the_t_transpose(m, n, k, p, wide, tal
     plan = _Plan(observed, omega, 3 * k, False)
     assert (bool(plan.wide), plan.spectral is not None) == (wide, tall)
     for _, gram, _ in plan.spectral.grams(deficient) if tall else ():
-        assert np.all(_pivot_singular(gram))
+        assert np.all(_pivot_singular(gram)[0])
     seed = RngSeed(k, "transpose-split")
     for factor in (y, deficient):
         direct = ls_solve_x(observed, omega, factor)
@@ -698,7 +700,7 @@ def dense_solve_tall(rows, masks, values, count, sol):
             kept = rows[masks[slot]]
             gram[b] = kept.T @ kept
             rhs[b] = values[slot % len(values), masks[slot]] @ kept
-        singular = _pivot_singular(gram)
+        singular = _pivot_singular(gram)[0]
         ok = ~singular
         sol[block[ok]] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]
         sol[block[singular]] = _pinv_apply(gram[singular], rhs[singular])
@@ -914,9 +916,9 @@ def test_block_mixing_singular_and_regular_tall_slices():
     assert n <= BLOCK_BYTES // (8 * q * q)
     slices = mask.transpose(1, 0, 2).reshape(n, -1)
     grams = np.stack([rows[sl].T @ rows[sl] for sl in slices])
-    assert list(np.flatnonzero(_pivot_singular(grams))) == [1, 4, 6]
+    assert list(np.flatnonzero(_pivot_singular(grams)[0])) == [1, 4, 6]
     plan = _Plan(observed, omega, 2 * k, True)
-    spectral = np.concatenate([_pivot_singular(g) for _, g, _ in plan.spectral.grams(x)])
+    spectral = np.concatenate([_pivot_singular(g)[0] for _, g, _ in plan.spectral.grams(x)])
     assert list(np.flatnonzero(spectral)) == [1, 4, 6]
     assert [len(systems) for systems, _, _ in plan.spectral.grams(x)] == [n]  # one block
     got = ls_solve_y(observed, omega, x)
@@ -939,8 +941,8 @@ def test_spectral_block_mixing_singular_and_regular_tall_slices():
     observed = project(rng.standard_normal((m, n, k)), omega)
     plan = _Plan(observed, omega, 2 * k, True)
     _, grams, _ = tall_systems(observed, omega, x, True)
-    spectral = np.concatenate([_pivot_singular(g) for _, g, _ in plan.spectral.grams(x)])
-    gathered = _pivot_singular(grams)
+    spectral = np.concatenate([_pivot_singular(g)[0] for _, g, _ in plan.spectral.grams(x)])
+    gathered = _pivot_singular(grams)[0]
     assert list(np.flatnonzero(spectral)) == list(np.flatnonzero(gathered)) == [1, 4, 6]
     assert [len(systems) for systems, _, _ in plan.spectral.grams(x)] == [n]  # one block
     got = ls_solve_y(observed, omega, x, plan=plan)
@@ -953,7 +955,94 @@ def test_spectral_block_mixing_singular_and_regular_tall_slices():
 def test_pivot_singular_cuts_at_singular_tol(eps, singular):
     # the second Cholesky pivot is eps, against SINGULAR_TOL * (1 + eps)
     gram = np.array([[[1.0, 1.0], [1.0, 1.0 + eps]]])
-    assert _pivot_singular(gram).tolist() == [singular]
+    assert _pivot_singular(gram)[0].tolist() == [singular]
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 6, 7, 13, 30, 60])
+def test_blocked_back_substitution_matches_a_triangular_solve(q):
+    # q below BACK_ROWS, equal to it, and not a multiple of it; SPD Grams of
+    # condition number 1 to 1e6, bordered by their right-hand sides
+    assert BACK_ROWS == 6
+    rng = np.random.default_rng(q)
+    bordered = np.empty((8, q + 1, q + 1))
+    for gram, cond in zip(bordered, np.logspace(0, 6, 8)):
+        basis = np.linalg.qr(rng.standard_normal((q, q)))[0]
+        gram[:q, :q] = (basis * np.logspace(0, np.log10(cond), q)) @ basis.T
+        gram[:q, :q] = (gram[:q, :q] + gram[:q, :q].T) / 2
+        gram[q, :q] = gram[:q, q] = rng.standard_normal(q)
+        gram[q, q] = 2 * gram[q, :q] @ np.linalg.solve(gram[:q, :q], gram[q, :q]) + 1
+    singular, chol = _pivot_singular(bordered, q)
+    assert not singular.any()
+    tri = chol[:, :q, :q].transpose(0, 2, 1)
+    ref = np.linalg.solve(tri, chol[:, q, :q, None])[..., 0]
+    got = _back_substitute(chol)
+    assert np.all(np.linalg.norm(got - ref, axis=1) <= 1e-12 * np.linalg.norm(ref, axis=1))
+
+
+def count_factorizations(monkeypatch):
+    """Counts of np.linalg.cholesky calls, of those that raised, and of
+    np.linalg.solve calls."""
+    calls = {"cholesky": 0, "raised": 0, "solve": 0}
+    cholesky, solve = np.linalg.cholesky, np.linalg.solve
+
+    def counted_cholesky(a, *args, **kwargs):
+        calls["cholesky"] += 1
+        try:
+            return cholesky(a, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            calls["raised"] += 1
+            raise
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    return calls
+
+
+def test_tall_solve_factors_each_block_once(monkeypatch):
+    # the altmin-tall-k shape: 50 tall systems of q = 60 unknowns, in blocks
+    m, n, k, r = 50, 50, 20, 3
+    rng = np.random.default_rng(47)
+    omega = sample_bernoulli(m, n, k, 0.5, RngSeed(47, "tall-k"))
+    observed = project(rng.standard_normal((m, n, k)), omega)
+    x = rng.standard_normal((m, r, k))
+    plan = _Plan(observed, omega, r * k, True)
+    blocks = len(list(plan.spectral.bordered(x)))
+    assert plan.wide == [] and blocks > 1
+    calls = count_factorizations(monkeypatch)
+    got = ls_solve_y(observed, omega, x, plan=plan)
+    assert calls == {"cholesky": blocks, "raised": 0, "solve": 0}
+    monkeypatch.undo()
+    _, grams, rhs = tall_systems(observed, omega, x, True)
+    ref = np.linalg.solve(grams, rhs[..., None])[..., 0]
+    assert np.linalg.norm(got.reshape(n, -1) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_zero_and_exactly_fitted_tall_slices_factor_without_error(monkeypatch):
+    # Slice 0 observes only zeros (b = 0, ||h|| = 0); slice 1 observes
+    # X * Y^dag exactly (residual 0), so b^T G^-1 b = ||h||^2.  A corner
+    # c = ||h||^2 would make the last pivot zero or negative and send the
+    # block to the per-system fallback.
+    m, n, k, r = 12, 4, 3, 2
+    rng = np.random.default_rng(48)
+    omega = sample_bernoulli(m, n, k, 0.8, RngSeed(48, "corner"))
+    x, y = rng.standard_normal((m, r, k)), rng.standard_normal((n, r, k))
+    t = rng.standard_normal((m, n, k))
+    t[:, 0] = 0.0
+    t[:, 1] = tprod(x, ttranspose(y))[:, 1]
+    observed = project(t, omega)
+    plan = _Plan(observed, omega, r * k, True)
+    assert plan.wide == [] and len(plan.spectral.systems) == n
+    calls = count_factorizations(monkeypatch)
+    got = ls_solve_y(observed, omega, x, plan=plan)
+    assert calls == {"cholesky": 1, "raised": 0, "solve": 0}
+    monkeypatch.undo()
+    assert np.all(got[0] == 0.0)
+    assert_close(got[1:2], y[1:2])
+    assert_close(got, oracle_solve_y(observed, omega, x))
 
 
 @pytest.mark.parametrize("delta, kept", [(3e-11, False), (3e-10, True)])
