@@ -13,6 +13,7 @@
 import math
 import numbers
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,34 +196,28 @@ class _Anderson:
     dF and dG the differences of successive steps and raws held, the next
     iterate is g_k - dG gamma, for gamma = argmin ||f_k - dF gamma||.  A
     round whose step is longer than the last one clears the history and
-    continues from g_k.  The history is allocated once, and every inner
-    product is an einsum, so the result does not depend on the BLAS thread
-    count."""
+    continues from g_k.  The history keeps references to the raws passed
+    in, so a caller must not modify one afterwards.  Every inner product is
+    an einsum, so the result does not depend on the BLAS thread count."""
 
-    def __init__(self, shape, depth):
-        self.raws = np.empty((depth + 1, *shape))
-        self.steps = np.empty((depth + 1, *shape))
-        self.held, self.last = 0, math.inf
+    def __init__(self, depth):
+        self.history, self.last = deque(maxlen=depth + 1), math.inf
 
     def __call__(self, x, raw):
         """The next iterate after the round that took x to raw."""
         step = raw - x
         norm = frobenius(step)
         if norm > self.last:
-            self.held = 0
+            self.history.clear()
         self.last = norm
-        if self.held == len(self.raws):  # drop the oldest round
-            self.raws[:-1], self.steps[:-1] = self.raws[1:], self.steps[1:]
-            self.held -= 1
-        self.raws[self.held], self.steps[self.held] = raw, step
-        self.held += 1
-        if self.held == 1:
+        self.history.append((raw, step))  # the oldest round drops out
+        if len(self.history) == 1:
             return raw
-        d_steps = np.diff(self.steps[: self.held], axis=0).reshape(self.held - 1, -1)
+        raws, steps = map(np.array, zip(*self.history))
+        d_steps = np.diff(steps, axis=0).reshape(len(steps) - 1, -1)
         gram = np.einsum("in,jn->ij", d_steps, d_steps)
         gamma = np.linalg.lstsq(gram, np.einsum("in,n->i", d_steps, step.ravel()))[0]
-        d_raws = np.diff(self.raws[: self.held], axis=0)
-        return raw - np.einsum("i,i...->...", gamma, d_raws)
+        return raw - np.einsum("i,i...->...", gamma, np.diff(raws, axis=0))
 
 
 def tubal_alt_min(observed, omega, cfg, ground_truth=None):
@@ -256,8 +251,7 @@ def tubal_alt_min(observed, omega, cfg, ground_truth=None):
             raise InsufficientSamples("a split subset is empty")
         x = initialize(observed, omega0, r, cfg.seed)
     else:
-        # allocated once, before the plans: the lowest peak RSS measured
-        mix = _Anderson((m, r, k), ANDERSON_DEPTH)
+        mix = _Anderson(ANDERSON_DEPTH)
         x = initialize(observed, omega, r, cfg.seed)
         parts = [omega] * cfg.iterations
         # Omega is the same in every half-step: one least-squares plan each,

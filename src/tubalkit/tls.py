@@ -12,7 +12,7 @@ Each slice system K z = b, with h observed rows and q = r*k unknowns, is
 solved by its row count: z = 0 for h = 0; for 0 < h < q the minimum-norm
 z = K^T (K K^T)^+ b from the h x h row Gram, batched by exact row count;
 for h >= q the q x q normal equations K^T K z = K^T b, batched, from one
-Cholesky factor of the bordered Gram [[K^T K, K^T b], [b^T K, c]]: its last
+Cholesky factor of the bordered Gram [[K^T K, K^T b], [b^T K, inf]]: its last
 row is L^-1 K^T b, and a blocked back substitution finishes.  Where a pivot
 says K^T K is singular, the pseudo-inverse solves instead.  K K^T and K^T K
 have the same nonzero eigenvalues, so both apply one eigenvalue cut.
@@ -118,15 +118,12 @@ class _Spectral:
     t-product of the masked values with the factor, ttranspose(P_Omega T) * X,
     from the conjugate half spectrum `left` of the masked values.  Each
     block's Grams are bordered by their right-hand sides, with corner
-    c = 2 ||h||^2 + 1 from the system's observed values h.  c exceeds
-    b^T G^+ b, which is at most ||h||^2, so the bordered Gram is positive
-    definite wherever G is, even when h is zero or fitted exactly.
+    c = inf: no result reads the last pivot, and inf keeps it positive.
 
     Reversing a tube conjugates its DFT, so on the t-transposed problem of
     the same Omega, where every slice of both is a system, the block form is
     `form` transposed and `left` is conj(`left`) transposed: `transposed`
-    reads both without a copy, and swaps the corners per system and per
-    other."""
+    reads both without a copy."""
 
     def __init__(self, mask, observed, systems, q):
         k, kh = mask.shape[2], mask.shape[2] // 2 + 1
@@ -141,9 +138,6 @@ class _Spectral:
         self.left, self.flip = freq_slices(observed).conj(), False
         self.form = np.block([[spec.real, -spec.imag], [spec.imag, spec.real]])
         self.systems = systems
-        # bordered Grams' corners per system, and per other for `transposed`
-        tubes = np.einsum("jiu,jiu->ji", observed, observed)  # ||h||^2 per tube
-        self.corner, self.other_corner = 2 * tubes.sum(1) + 1, 2 * tubes.sum(0) + 1
         # Gram entry (a, b) reads [pair(s, s'), (sigma' - sigma) mod k, sigma]
         # of (min(a, b), max(a, b)) = ((s, sigma), (s', sigma'))
         pair = np.zeros((q // k, q // k), dtype=np.intp)
@@ -161,7 +155,6 @@ class _Spectral:
         other = copy.copy(self)
         other.form, other.left = self.form.swapaxes(1, 2), self.left.swapaxes(1, 2)
         other.flip, other.systems = not self.flip, np.arange(self.form.shape[2] // 2)
-        other.corner, other.other_corner = self.other_corner, self.corner
         return other
 
     def grams(self, factor):
@@ -211,7 +204,7 @@ class _Spectral:
             gram = work[: len(systems) * (q + 1) ** 2].reshape(-1, q + 1, q + 1)
             np.take(back.reshape(len(systems), -1), self.table, 1, gram, mode="clip")
             gram[:, q, :q] = gram[:, :q, q] = rhs[at]
-            gram[:, q, q] = self.corner[at]
+            gram[:, q, q] = np.inf
             yield systems, gram
 
 

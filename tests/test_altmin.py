@@ -298,7 +298,7 @@ def test_anderson_mixing_solves_a_linear_fixed_point():
     a = q @ np.diag([0.9, -0.6, 0.3]) @ q.T
     b = rng.standard_normal(3)
     fixed = np.linalg.solve(np.eye(3) - a, b)
-    mix = altmin._Anderson((3,), altmin.ANDERSON_DEPTH)
+    mix = altmin._Anderson(altmin.ANDERSON_DEPTH)
     x = plain = np.zeros(3)
     for _ in range(6):
         x = mix(x, a @ x + b)
@@ -312,14 +312,41 @@ def test_anderson_mixing_restarts_after_a_longer_step():
     xs, steps = rng.standard_normal((2, 4, 4))
     steps *= (np.array([1.0, 0.5, 5.0, 0.3]) / np.linalg.norm(steps, axis=1))[:, None]
     raws = xs + steps  # round 2's step is longer than round 1's
-    mix = altmin._Anderson((4,), 3)
+    mix = altmin._Anderson(3)
     mixed = [mix(x, raw) for x, raw in zip(xs[:4], raws[:4])]
     assert not np.array_equal(mixed[1], raws[1])
     assert np.array_equal(mixed[2], raws[2])
     # the history starts again from round 2, as in a fresh mixer
-    fresh = altmin._Anderson((4,), 3)
+    fresh = altmin._Anderson(3)
     assert np.array_equal(fresh(xs[2], raws[2]), raws[2])
     assert np.array_equal(fresh(xs[3], raws[3]), mixed[3])
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_anderson_mixing_keeps_only_the_last_depth_plus_one_rounds(depth):
+    # x <- a x + b contracts, so every step is shorter than the last and no
+    # round clears the history.  Round depth + 3 reads rounds 3 to depth + 3
+    # only: a fresh mixer fed those rounds alone gives it bit for bit.
+    rng = np.random.default_rng(depth)
+    q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+    a = q @ np.diag(np.linspace(0.9, -0.5, 8)) @ q.T
+    b = rng.standard_normal(8)
+    mix, rounds, x = altmin._Anderson(depth), [], np.zeros(8)
+    for _ in range(depth + 3):
+        raw = a @ x + b
+        rounds.append((x, raw))
+        x = mix(x, raw)
+    norms = [np.linalg.norm(raw - x) for x, raw in rounds]
+    assert all(later < earlier for earlier, later in zip(norms, norms[1:]))
+    fresh = altmin._Anderson(depth)
+    for x_old, raw in rounds[-depth - 1:]:
+        last = fresh(x_old, raw)
+    assert np.array_equal(last, x)
+    # a mixer that kept one more round mixes differently
+    longer = altmin._Anderson(depth + 1)
+    for x_old, raw in rounds[-depth - 2:]:
+        last = longer(x_old, raw)
+    assert not np.array_equal(last, x)
 
 
 def test_simplified_loop_without_mixing_is_the_plain_alternation(monkeypatch):

@@ -161,3 +161,32 @@ def test_every_dataclass_field_in_src_is_read_by_shipped_code():
 def test_every_dataclass_field_in_src_is_set_by_shipped_code():
     unused = _unused(_dataclass_fields, {"keyword", "position", "store", "string"})
     assert not unused, f"shipped code never sets {unused}; make them constants"
+
+
+def _unread_imports(module):
+    """Names that `module` imports and never reads, except those in its
+    `__all__` and those on an import marked `# noqa: F401`."""
+    source = module.read_text()
+    tree, lines = ast.parse(source), source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read | exported:
+                unread.append(f"{module.stem}.{name}")
+    return unread
+
+
+def test_no_module_in_src_imports_a_name_it_never_reads():
+    unread = [name for module in sorted(PACKAGE.glob("*.py")) for name in _unread_imports(module)]
+    assert not unread, f"unread imports {unread}; delete them or mark them # noqa: F401"

@@ -1023,9 +1023,10 @@ def test_tall_solve_factors_each_block_once(monkeypatch):
 
 def test_zero_and_exactly_fitted_tall_slices_factor_without_error(monkeypatch):
     # Slice 0 observes only zeros (b = 0, ||h|| = 0); slice 1 observes
-    # X * Y^dag exactly (residual 0), so b^T G^-1 b = ||h||^2.  A corner
-    # c = ||h||^2 would make the last pivot zero or negative and send the
-    # block to the per-system fallback.
+    # X * Y^dag exactly (residual 0), so b^T G^-1 b = ||h||^2.  A finite
+    # corner as small as ||h||^2 would make the last pivot zero or negative
+    # and send the block to the per-system fallback; the infinite corner
+    # keeps it positive.
     m, n, k, r = 12, 4, 3, 2
     rng = np.random.default_rng(48)
     omega = sample_bernoulli(m, n, k, 0.8, RngSeed(48, "corner"))
@@ -1043,6 +1044,45 @@ def test_zero_and_exactly_fitted_tall_slices_factor_without_error(monkeypatch):
     assert np.all(got[0] == 0.0)
     assert_close(got[1:2], y[1:2])
     assert_close(got, oracle_solve_y(observed, omega, x))
+
+
+@pytest.mark.parametrize("q", [1, 6, 30, 60])
+def test_infinite_corner_leaves_the_first_q_columns_of_the_factor_bit_for_bit(q):
+    # Tall systems K z = h with zero, exactly fitted and random h.  The last
+    # pivot of [[G, b], [b^T, c]] is c - ||L^-1 b||^2, so only it depends on
+    # c: the finite corner 2 ||h||^2 + 1 and the infinite one give the same
+    # L and w = L^-1 b, and neither raises.
+    rng = np.random.default_rng(q)
+    design = rng.standard_normal((3, 2 * q, q))
+    values = np.stack([np.zeros(2 * q), design[1] @ rng.standard_normal(q),
+                       rng.standard_normal(2 * q)])
+    bordered = np.empty((3, q + 1, q + 1))
+    bordered[:, :q, :q] = design.transpose(0, 2, 1) @ design
+    bordered[:, q, :q] = bordered[:, :q, q] = (values[:, None, :] @ design)[:, 0]
+    bordered[:, q, q] = 2 * np.einsum("jh,jh->j", values, values) + 1
+    finite = np.linalg.cholesky(bordered)
+    bordered[:, q, q] = np.inf
+    infinite = np.linalg.cholesky(bordered)
+    assert np.array_equal(infinite[..., :q], finite[..., :q])
+    assert np.all(infinite[:, q, q] == np.inf)
+    assert not _pivot_singular(bordered, q)[0].any()
+
+
+def test_bordered_grams_have_infinite_corners_in_both_half_steps():
+    # every slice of both plans is tall, so the X plan reads the Y plan's
+    # spectra transposed
+    m, n, k, r = 30, 20, 3, 2
+    rng = np.random.default_rng(49)
+    omega = sample_bernoulli(m, n, k, 0.8, RngSeed(49, "corner"))
+    observed = project(rng.standard_normal((m, n, k)), omega)
+    y_plan = _Plan(observed, omega, r * k, True)
+    x_plan = _Plan(observed, omega, r * k, False, partner=y_plan)
+    assert np.shares_memory(x_plan.spectral.form, y_plan.spectral.form)
+    for plan, factor in ((y_plan, rng.standard_normal((m, r, k))),
+                         (x_plan, rng.standard_normal((n, r, k)))):
+        corners = [bordered[:, -1, -1].copy() for _, bordered in plan.spectral.bordered(factor)]
+        assert sum(map(len, corners)) == len(plan.spectral.systems)
+        assert np.all(np.concatenate(corners) == np.inf)
 
 
 @pytest.mark.parametrize("delta, kept", [(3e-11, False), (3e-10, True)])
