@@ -14,7 +14,8 @@ z = K^T (K K^T)^+ b from the h x h row Gram, batched by exact row count;
 for h >= q the q x q normal equations K^T K z = K^T b, batched, from one
 Cholesky factor of the bordered Gram [[K^T K, K^T b], [b^T K, inf]]: its last
 row is L^-1 K^T b, and a blocked back substitution finishes.  Where a pivot
-says K^T K is singular, the pseudo-inverse solves instead.  K K^T and K^T K
+says K^T K is singular, or LAPACK cannot factor its block's stack, the
+pseudo-inverse gives the minimum-norm solution instead.  K K^T and K^T K
 have the same nonzero eigenvalues, so both apply one eigenvalue cut.
 
 The tall Grams K^T K and right-hand sides K^T b come from each system's
@@ -30,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import _check3, freq_slices, freq_weights, from_freq_slices, ttranspose
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidEntries
 # project and split are not called here: perfbench hooks them by these names
 from .sampling import project, split, split_labels  # noqa: F401
 
@@ -52,15 +53,13 @@ BACK_ROWS = 6
 
 def _pivot_singular(gram, q=None):
     """Which Grams of the stack a pivot among the first q (all by default)
-    finds singular, and the stack's Cholesky factors.  A Gram whose
-    factorization fails is singular, with a zero factor."""
+    finds singular, and the stack's Cholesky factors.  If LAPACK cannot
+    factor the stack, every Gram of it takes the minimum-norm solution: all
+    are flagged, and the stack stands in for factors that no one reads."""
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        if len(gram) == 1:
-            return np.ones(1, dtype=bool), np.zeros_like(gram)
-        singular, chol = zip(*(_pivot_singular(g[None], q) for g in gram))
-        return np.concatenate(singular), np.concatenate(chol)
+        return np.ones(len(gram), dtype=bool), gram
     pivots = np.diagonal(chol, axis1=1, axis2=2)[:, :q] ** 2
     diag = np.diagonal(gram, axis1=1, axis2=2)[:, :q]
     return np.any(pivots <= SINGULAR_TOL * diag, axis=1), chol
@@ -231,6 +230,8 @@ class _Plan:
         entry = np.flatnonzero(mask)
         system, pos = np.divmod(entry, size)
         values = grid.take(entry)
+        if np.iscomplexobj(values) or not np.isfinite(values).all():
+            raise InvalidEntries("observed tensor is complex or not finite inside the sample set")
         if labels is not None:
             # the stable sort keeps each system's rows ascending
             labels = layout(labels)
@@ -271,6 +272,8 @@ class _Plan:
 def _solve(observed, omega, factor, y_update, plan=None):
     """Solutions (t, slices, r, k) of every system of `plan` (unlabelled by default)."""
     factor = _check3(factor)
+    if np.iscomplexobj(factor) or not np.isfinite(factor).all():
+        raise InvalidEntries(f"factor of dtype {factor.dtype} is complex or not finite")
     p, r, k = factor.shape
     if omega.dims[2] != k:
         raise DimensionMismatch(f"{omega.dims} vs factor {factor.shape}")

@@ -6,7 +6,7 @@ import pytest
 from tubalkit import altmin
 from tubalkit.algebra import tprod, ttranspose
 from tubalkit.altmin import qr_tensor
-from tubalkit.errors import DimensionMismatch
+from tubalkit.errors import DimensionMismatch, InvalidEntries
 from tubalkit.sampling import (
     RngSeed,
     SampleSet,
@@ -19,6 +19,7 @@ from tubalkit.sampling import (
 from tubalkit.tls import (
     BACK_ROWS,
     BLOCK_BYTES,
+    SINGULAR_TOL,
     _back_substitute,
     _blocks,
     _Plan,
@@ -682,6 +683,68 @@ def test_dimension_mismatch_errors():
         ls_solve_y(2 * observed, o1, x, plan=plan)
 
 
+def solve_with(name, observed, omega, x, y):
+    """One of the four least-squares entry points, on x for Y, y for X."""
+    seed = RngSeed(22, "typed")
+    return {
+        "ls_solve_y": lambda: ls_solve_y(observed, omega, x),
+        "ls_solve_x": lambda: ls_solve_x(observed, omega, y),
+        "median_ls": lambda: median_ls(observed, omega, x, seed, t=3),
+        "median_ls_x": lambda: median_ls_x(observed, omega, y, seed, t=3),
+    }[name]()
+
+
+ENTRY_POINTS = ["ls_solve_y", "ls_solve_x", "median_ls", "median_ls_x"]
+
+
+def typed_instance(m, n, k, p):
+    rng = np.random.default_rng(m * n * k)
+    omega = sample_bernoulli(m, n, k, p, RngSeed(22, f"typed-{m}-{n}"))
+    observed = project(rng.standard_normal((m, n, k)), omega)
+    return observed, omega, rng.standard_normal((m, 3, k)), rng.standard_normal((n, 3, k))
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_complex_factor_is_invalid_entries(name):
+    observed, omega, x, y = typed_instance(20, 20, 4, 0.6)
+    with pytest.raises(InvalidEntries):
+        solve_with(name, observed, omega, x + 0j, y + 0j)
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_complex_observed_is_invalid_entries(name):
+    observed, omega, x, y = typed_instance(20, 20, 4, 0.6)
+    with pytest.raises(InvalidEntries):
+        solve_with(name, observed + 0j, omega, x, y)
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_factor_is_invalid_entries(name, bad):
+    # 20x40x5 at p = 0.1 and r = 3: the Y plan's slices are wide, where a
+    # NaN factor used to stop eigh without convergence
+    observed, omega, x, y = typed_instance(20, 40, 5, 0.1)
+    assert _Plan(observed, omega, 3 * 5, True).wide
+    x[3, 1, 2] = y[3, 1, 2] = bad
+    with pytest.raises(InvalidEntries):
+        solve_with(name, observed, omega, x, y)
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_non_finite_observed_inside_omega_is_invalid_entries(name):
+    # outside omega a NaN is ignored: the unprojected input solves bit for
+    # bit as the projected one
+    observed, omega, x, y = typed_instance(20, 20, 4, 0.6)
+    off = np.where(omega.mask, observed, np.nan)
+    assert np.array_equal(solve_with(name, off, omega, x, y),
+                          solve_with(name, observed, omega, x, y))
+    inside = tuple(np.argwhere(omega.mask)[0])
+    for bad in (np.nan, np.inf):
+        observed[inside] = bad
+        with pytest.raises(InvalidEntries):
+            solve_with(name, observed, omega, x, y)
+
+
 def test_blocks_hold_block_bytes_and_at_least_one_item():
     assert _blocks(0, 8) == []
     assert _blocks(5, BLOCK_BYTES // 2) == [slice(0, 2), slice(2, 4), slice(4, 6)]
@@ -898,57 +961,89 @@ def test_spectral_grams_match_the_gather(m, n, k, r, p):
                 assert np.all(error <= 1e-14 * np.linalg.norm(ref, axis=1))
 
 
-def test_block_mixing_singular_and_regular_tall_slices():
-    # Rows i < 10 of x repeat their first column, so a lateral slice that
-    # observes only those rows has a singular Gram (rank k < r*k) although
-    # it is tall (30 rows, 6 unknowns).  The other slices observe every
-    # entry.  All eight systems fall in one block, which must split them.
-    m, n, k = 20, 8, 3
-    rng = np.random.default_rng(43)
+def mixed_block_solve(monkeypatch, m, n, k, seed, noise, refused):
+    """Rows i < m/2 of x (m, 2, k) repeat their first column, plus `noise`
+    times a Gaussian draw.  Lateral slices 1, 4 and 6 observe only those
+    rows and the others every entry, so with no noise those three Grams are
+    singular (rank k < 2k) although they are tall.  All n systems fall in
+    one block, factored by one Cholesky call, which raises where LAPACK
+    refuses the stack; the Y half-step matches the dense-mask oracle to
+    1e-12.  Returns the instance, the spectral and the gathered Grams'
+    pivot flags, and the solution."""
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal((m, 2, k))
-    x[:10, 1] = x[:10, 0]
     mask = np.ones((m, n, k), dtype=bool)
-    mask[10:, [1, 4, 6], :] = False
+    mask[m // 2 :, [1, 4, 6], :] = False
     omega = SampleSet(mask)
     observed = project(rng.standard_normal((m, n, k)), omega)
-    rows = circulant_rows(x)
-    q = rows.shape[1]
-    assert n <= BLOCK_BYTES // (8 * q * q)
-    slices = mask.transpose(1, 0, 2).reshape(n, -1)
-    grams = np.stack([rows[sl].T @ rows[sl] for sl in slices])
-    assert list(np.flatnonzero(_pivot_singular(grams)[0])) == [1, 4, 6]
+    x[: m // 2, 1] = x[: m // 2, 0] + noise * rng.standard_normal((m // 2, k))
     plan = _Plan(observed, omega, 2 * k, True)
+    assert [len(systems) for systems, _, _ in plan.spectral.grams(x)] == [n]
     spectral = np.concatenate([_pivot_singular(g)[0] for _, g, _ in plan.spectral.grams(x)])
-    assert list(np.flatnonzero(spectral)) == [1, 4, 6]
-    assert [len(systems) for systems, _, _ in plan.spectral.grams(x)] == [n]  # one block
-    got = ls_solve_y(observed, omega, x)
-    ref = dense_mask_half_step(observed, omega, x, True, [omega])[0]
-    assert frobenius_norm(got - ref) <= 1e-12 * frobenius_norm(ref)
-    assert_close(got, freq_oracle_y(observed, omega, x))
-
-
-def test_spectral_block_mixing_singular_and_regular_tall_slices():
-    # The construction above at a larger size: rows i < 30 of x repeat
-    # their first column, so slices 1, 4 and 6, which observe only those
-    # rows, have singular Grams (rank k < r*k).
-    m, n, k = 60, 12, 6
-    rng = np.random.default_rng(44)
-    x = rng.standard_normal((m, 2, k))
-    x[:30, 1] = x[:30, 0]
-    mask = np.ones((m, n, k), dtype=bool)
-    mask[30:, [1, 4, 6], :] = False
-    omega = SampleSet(mask)
-    observed = project(rng.standard_normal((m, n, k)), omega)
-    plan = _Plan(observed, omega, 2 * k, True)
-    _, grams, _ = tall_systems(observed, omega, x, True)
-    spectral = np.concatenate([_pivot_singular(g)[0] for _, g, _ in plan.spectral.grams(x)])
-    gathered = _pivot_singular(grams)[0]
-    assert list(np.flatnonzero(spectral)) == list(np.flatnonzero(gathered)) == [1, 4, 6]
-    assert [len(systems) for systems, _, _ in plan.spectral.grams(x)] == [n]  # one block
+    gathered = _pivot_singular(tall_systems(observed, omega, x, True)[1])[0]
+    calls = count_factorizations(monkeypatch)
     got = ls_solve_y(observed, omega, x, plan=plan)
+    assert calls == {"cholesky": 1, "raised": int(refused), "solve": 0}
+    monkeypatch.undo()
     ref = dense_mask_half_step(observed, omega, x, True, [omega])[0]
     assert frobenius_norm(got - ref) <= 1e-12 * frobenius_norm(ref)
-    assert_close(got, freq_oracle_y(observed, omega, x))
+    return (observed, omega, x), spectral, gathered, got
+
+
+def assert_slices_match_lstsq(got, observed, omega, x, rcond):
+    for j, (kept, b) in enumerate(slice_systems(observed, omega, x, True)):
+        ref = np.linalg.lstsq(kept, b, rcond=rcond)[0]
+        assert np.linalg.norm(got[j].reshape(-1) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_block_mixing_singular_and_regular_tall_slices(monkeypatch):
+    # 20x8x3: slices 1, 4 and 6 have 30 rows for 6 unknowns.  LAPACK
+    # refuses the exactly singular stack, so every slice of the block is
+    # flagged and takes the minimum-norm solution, which for the regular
+    # slices equals their Cholesky solution.
+    case, spectral, gathered, got = mixed_block_solve(monkeypatch, 20, 8, 3, 43, 0.0, True)
+    assert spectral.all() and gathered.all()
+    assert_close(got, freq_oracle_y(*case))
+
+
+def test_spectral_block_mixing_singular_and_regular_tall_slices(monkeypatch):
+    # the construction above at 60x12x6
+    case, spectral, gathered, got = mixed_block_solve(monkeypatch, 60, 12, 6, 44, 0.0, True)
+    assert spectral.all() and gathered.all()
+    assert_close(got, freq_oracle_y(*case))
+
+
+@pytest.mark.parametrize("m, n, k, seed", [(20, 8, 3, 43), (60, 12, 6, 44)])
+def test_factored_block_splits_nearly_singular_from_regular_tall_slices(monkeypatch, m, n, k, seed):
+    # The constructions above with the repeated column moved by 1e-7 noise:
+    # LAPACK factors the stack, and its pivots flag exactly slices 1, 4 and
+    # 6, whose Gram eigenvalues of order 1e-14 of the largest the
+    # pseudo-inverse drops.  The others keep their Cholesky solutions.  The
+    # cut is lstsq's at singular values sqrt(SINGULAR_TOL) of the largest.
+    case, spectral, gathered, got = mixed_block_solve(monkeypatch, m, n, k, seed, 1e-7, False)
+    assert list(np.flatnonzero(spectral)) == list(np.flatnonzero(gathered)) == [1, 4, 6]
+    assert_slices_match_lstsq(got, *case, rcond=np.sqrt(SINGULAR_TOL))
+
+
+def test_refused_block_takes_the_minimum_norm_solution_in_one_factorization(monkeypatch):
+    # The altmin-desk shape with a rank-3 factor whose third lateral slice
+    # repeats the first: every Gram is singular, and LAPACK refuses the
+    # block's stack.  One Cholesky call per block, no per-slice retry, and
+    # every slice takes the minimum-norm solution.
+    m, n, k, r = 50, 50, 10, 3
+    rng = np.random.default_rng(50)
+    omega = sample_bernoulli(m, n, k, 0.5, RngSeed(50, "refused"))
+    observed = project(rng.standard_normal((m, n, k)), omega)
+    x = rng.standard_normal((m, r, k))
+    x[:, 2] = x[:, 0]
+    plan = _Plan(observed, omega, r * k, True)
+    blocks = len(list(plan.spectral.bordered(x)))
+    assert plan.wide == [] and len(plan.spectral.systems) == n
+    calls = count_factorizations(monkeypatch)
+    got = ls_solve_y(observed, omega, x, plan=plan)
+    assert calls == {"cholesky": blocks, "raised": blocks, "solve": 0}
+    monkeypatch.undo()
+    assert_slices_match_lstsq(got, observed, omega, x, rcond=None)
 
 
 @pytest.mark.parametrize("eps, singular", [(3e-11, True), (3e-10, False)])
@@ -1025,7 +1120,7 @@ def test_zero_and_exactly_fitted_tall_slices_factor_without_error(monkeypatch):
     # Slice 0 observes only zeros (b = 0, ||h|| = 0); slice 1 observes
     # X * Y^dag exactly (residual 0), so b^T G^-1 b = ||h||^2.  A finite
     # corner as small as ||h||^2 would make the last pivot zero or negative
-    # and send the block to the per-system fallback; the infinite corner
+    # and send the whole block to the pseudo-inverse; the infinite corner
     # keeps it positive.
     m, n, k, r = 12, 4, 3, 2
     rng = np.random.default_rng(48)
